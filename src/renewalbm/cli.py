@@ -56,7 +56,6 @@ _DEFAULTS = {
     "export_grid_path": False,
     "alpha": None,
     "workers": 1,
-    "q": None,
     "s": 0.5,
     "t": 1.0,
 }
@@ -92,7 +91,6 @@ _CONVERTERS = {
     "export_grid_path": _parse_bool,
     "alpha": float,
     "workers": int,
-    "q": float,
     "s": float,
     "t": float,
 }
@@ -117,7 +115,6 @@ _COMMAND_KEYS = {
         "seed",
         "grid_step_divisor",
         "alpha",
-        "q",
         "workers",
         "out",
     ),
@@ -158,7 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reps", type=int, default=_UNSET, help="replications per scale (default 200)")
     sp.add_argument("--grid-step-divisor", type=int, default=_UNSET, help="grid step = mean_step / divisor (default 1000)")
     sp.add_argument("--alpha", type=float, default=_UNSET, help="exceedance constant (default: calibrate at smallest scale)")
-    sp.add_argument("--q", type=float, default=_UNSET, help="reported rate-order metadata, unused in computation")
     sp.add_argument("--workers", type=int, default=_UNSET, help="parallel replication workers (default 1)")
 
     sp = sub.add_parser("gof", help="distributional checks of direct paths")
@@ -293,7 +289,6 @@ def _cmd_rate(args) -> int:
         master_seed=args.seed,
         alpha=args.alpha,
         grid_step_divisor=args.grid_step_divisor,
-        q=args.q,
     )
     result = run_rate_experiment(cfg, workers=args.workers)
     out = Path(args.out) / "rate.csv"
@@ -306,7 +301,6 @@ def _cmd_rate(args) -> int:
         "reps": cfg.reps,
         "grid_step_divisor": cfg.grid_step_divisor,
         "seed": cfg.master_seed,
-        "q": "none" if cfg.q is None else cfg.q,
         "alpha": result.alpha,
         "slope": result.slope,
         "intercept": result.intercept,

@@ -51,16 +51,6 @@ GRID_STEP_DIVISOR = 1000
 BGK_SHIFT = 0.5825971579390107
 
 
-@dataclass(frozen=True)
-class EmbeddingStep:
-    """One coupling step: exit level, exit side, exit time, transport duration."""
-
-    level: float
-    sign: int
-    exit_time: float
-    duration: float
-
-
 @dataclass(eq=False)
 class GridPath:
     """Brownian path observed on a uniform grid: values[i] is the path at i*step."""
@@ -97,16 +87,6 @@ class CoupledRealization:
     @property
     def n_steps(self) -> int:
         return len(self.levels)
-
-    def embedding_step(self, m: int) -> EmbeddingStep:
-        """Step m, 1-based like the clock arrays."""
-        i = m - 1
-        return EmbeddingStep(
-            level=float(self.levels[i]),
-            sign=int(self.signs[i]),
-            exit_time=float(self.exit_times[i]),
-            duration=float(self.durations[i]),
-        )
 
     def value_at(self, t):
         """Transport-path value at scalar or array t in [0, last clock time].
@@ -340,23 +320,14 @@ def _grid_horizon_index(grid: GridPath) -> int:
 def sup_distance(real: CoupledRealization, mode: str = "grid") -> float:
     """Largest |transport - Brownian| gap over [0, 1].
 
-    mode="grid" scans every grid time at or before 1; mode="skeleton" only
-    the grid times nearest the transport clock knots at or before 1, so it
-    never exceeds the grid value.
+    mode="grid", the only mode, scans every grid time at or before 1.
     """
     grid = _require_grid(real)
-    w = grid.values
-    if mode == "grid":
-        i_max = _grid_horizon_index(grid)
-        t = np.arange(i_max + 1) * grid.step
-        return float(np.abs(real.value_at(t) - w[: i_max + 1]).max())
-    if mode == "skeleton":
-        knots = real.path_times[real.path_times <= 1.0]
-        idx = np.minimum(np.rint(knots / grid.step).astype(np.int64), len(w) - 1)
-        # Nearest-grid rounding can land half a step past the last knot.
-        t = np.minimum(idx * grid.step, real.path_times[-1])
-        return float(np.abs(real.value_at(t) - w[idx]).max())
-    raise UnsupportedModeError(f"unknown mode {mode!r}")
+    if mode != "grid":
+        raise UnsupportedModeError(f"unknown mode {mode!r}")
+    i_max = _grid_horizon_index(grid)
+    t = np.arange(i_max + 1) * grid.step
+    return float(np.abs(real.value_at(t) - grid.values[: i_max + 1]).max())
 
 
 @dataclass(frozen=True)

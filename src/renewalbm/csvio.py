@@ -131,7 +131,6 @@ def write_rate_csv(file, result) -> None:
                     "reps": cfg.reps,
                     "grid_step_divisor": cfg.grid_step_divisor,
                     "alpha": "auto" if cfg.alpha is None else cfg.alpha,
-                    "q": "none" if cfg.q is None else cfg.q,
                     "seed": cfg.master_seed,
                 }
             )

@@ -2,11 +2,14 @@
 
 The rate harness drives grid-engine couplings across a ladder of scales n,
 records the sup distance J and its four-term split per realization, and fits
-log median J against the deviation scale n**(-k/4) * log(n)**1.5. Exceedance
-thresholds use alpha times that scale, with alpha either supplied or
-calibrated so the smallest scale sits at 0.5 exceedance. Replications draw
-from streams derived as (master_seed, role, n, rep), so results do not
-depend on worker count or scheduling.
+log median J against the deviation scale n**(-k/4) * log(n)**1.5 over the
+rungs past the scale's peak n = e**(6/k), where it falls; with fewer than two
+such rungs the fit is NaN. Exceedance thresholds use alpha times that scale,
+with alpha either supplied or calibrated so the smallest scale sits at 0.5
+exceedance. The trace harness reuses the same replication driver and keeps
+only each sup. Replications draw from streams derived as
+(master_seed, role, n, rep), so results do not depend on worker count or
+scheduling.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .coupling import (
     GRID_STEP_DIVISOR,
     build_coupled_realization,
     decompose_sup,
-    sup_distance,
 )
 from .errors import BudgetError, InputError, RateConditionError
 from .laws import JumpLaw
@@ -37,12 +39,20 @@ def rate_scale(n: int, k: float) -> float:
     return float(n) ** (-float(k) / 4.0) * math.log(n) ** 1.5
 
 
+def _check_ladder(n_grid) -> tuple[int, ...]:
+    grid = tuple(int(n) for n in n_grid)
+    if not grid:
+        raise InputError("n_grid must be nonempty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InputError("n_grid must be strictly increasing")
+    return grid
+
+
 @dataclass(frozen=True)
 class RateExperimentConfig:
     """Settings for one rate campaign.
 
-    alpha=None calibrates the exceedance threshold at the smallest scale;
-    q is carried into reports as metadata and never used in computation.
+    alpha=None calibrates the exceedance threshold at the smallest scale.
     """
 
     law: JumpLaw
@@ -52,18 +62,13 @@ class RateExperimentConfig:
     master_seed: int
     alpha: float | None = None
     grid_step_divisor: int = GRID_STEP_DIVISOR
-    q: float | None = None
     max_grid_steps: int = 10**9
 
     def __post_init__(self):
-        grid = tuple(int(n) for n in self.n_grid)
-        object.__setattr__(self, "n_grid", grid)
         if not self.k > 1:
             raise RateConditionError("k must exceed 1")
-        if not grid:
-            raise InputError("n_grid must be nonempty")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise InputError("n_grid must be strictly increasing")
+        grid = _check_ladder(self.n_grid)
+        object.__setattr__(self, "n_grid", grid)
         if grid[0] < 2:
             raise InputError("n_grid entries must be at least 2")
         if self.reps < 2:
@@ -107,9 +112,10 @@ class RateRow:
 
 @dataclass(frozen=True)
 class RateResult:
-    """Campaign output: per-scale rows, the log-log fit, and worst-case
-    diagnostics (decomposition bound gap, skeleton identity error, slope
-    error) across every realization."""
+    """Campaign output: per-scale rows, the log-log fit over the rungs past
+    n = e**(6/k) (NaN with fewer than two), and worst-case diagnostics
+    (decomposition bound gap, skeleton identity error, slope error) across
+    every realization."""
 
     config: RateExperimentConfig
     rows: tuple[RateRow, ...]
@@ -159,9 +165,9 @@ def slope_error(real, max_segments: int = 32) -> float:
     return float(np.abs(fd / want - 1.0).max())
 
 
-def _rate_worker(args) -> RateSample:
-    law, k, n, rep, master_seed, divisor, max_steps = args
-    rng = derived_rng(master_seed, ROLE_RATE, n, rep)
+def _replicate(args) -> RateSample:
+    law, k, n, rep, master_seed, role, divisor, max_steps = args
+    rng = derived_rng(master_seed, role, n, rep)
     sched = scaling_constants(law, k, n)
     real = build_coupled_realization(
         law,
@@ -186,32 +192,37 @@ def _rate_worker(args) -> RateSample:
     )
 
 
-def _run_reps(cfg: RateExperimentConfig, n: int, workers: int) -> list[RateSample]:
-    args = [
-        (cfg.law, cfg.k, n, rep, cfg.master_seed, cfg.grid_step_divisor, cfg.max_grid_steps)
-        for rep in range(cfg.reps)
-    ]
+def _ladder(law, k, n_grid, reps, master_seed, role, divisor, max_steps, workers):
+    """Yield (n, samples in rep order) rung by rung; one pool serves the ladder."""
+
+    def jobs(n):
+        return [(law, k, n, rep, master_seed, role, divisor, max_steps) for rep in range(reps)]
+
     if workers <= 1:
-        return [_rate_worker(a) for a in args]
+        for n in n_grid:
+            yield n, [_replicate(a) for a in jobs(n)]
+        return
     with Pool(workers) as pool:
-        return list(pool.imap(_rate_worker, args, chunksize=1))
+        for n in n_grid:
+            yield n, list(pool.imap(_replicate, jobs(n), chunksize=1))
 
 
 def run_rate_experiment(cfg: RateExperimentConfig, workers: int = 1) -> RateResult:
     """Run the campaign; on budget exhaustion keep finished scales.
 
-    Per-replication streams are derived from (master_seed, n, rep), and the
-    reduction preserves replication order, so equal configs give identical
-    results at any worker count.
+    Per-replication streams are derived from (master_seed, ROLE_RATE, n,
+    rep), and the reduction preserves replication order, so equal configs give
+    identical results at any worker count.
     """
     per_n: list[tuple[int, list[RateSample]]] = []
     complete = True
-    for n in cfg.n_grid:
-        try:
-            per_n.append((n, _run_reps(cfg, n, workers)))
-        except BudgetError:
-            complete = False
-            break
+    rungs = _ladder(cfg.law, cfg.k, cfg.n_grid, cfg.reps, cfg.master_seed, ROLE_RATE,
+                    cfg.grid_step_divisor, cfg.max_grid_steps, workers)
+    try:
+        for rung in rungs:
+            per_n.append(rung)
+    except BudgetError:
+        complete = False
     if not per_n:
         raise BudgetError("step budget exhausted before the smallest scale finished")
 
@@ -243,9 +254,10 @@ def run_rate_experiment(cfg: RateExperimentConfig, workers: int = 1) -> RateResu
         skel_errs.append(max(s.skeleton_err for s in samples))
         slope_errs.append(max(s.slope_err for s in samples))
 
-    if len(rows) >= 2:
+    past_peak = [row for row in rows if row.n > math.exp(6.0 / cfg.k)]
+    if len(past_peak) >= 2:
         slope, intercept, r2 = fit_rate(
-            [(rate_scale(row.n, cfg.k), row.median_j) for row in rows]
+            [(rate_scale(row.n, cfg.k), row.median_j) for row in past_peak]
         )
     else:
         slope = intercept = r2 = float("nan")
@@ -396,22 +408,14 @@ def as_trace(law: JumpLaw, k: float, n_grid, reps: int, master_seed: int) -> Tra
 
     Each (rep, n) pair uses its own coupling and its own derived stream, so
     traces test the trend across scales, not pathwise monotonicity of a
-    single construction.
+    single construction. Replications run serially through the rate
+    campaign's driver, so the decomposition bound is checked here too.
     """
-    grid = tuple(int(n) for n in n_grid)
-    if not grid:
-        raise InputError("n_grid must be nonempty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise InputError("n_grid must be strictly increasing")
+    grid = _check_ladder(n_grid)
     if reps < 1:
         raise InputError("reps must be positive")
-    j = np.empty((reps, len(grid)))
-    for col, n in enumerate(grid):
-        sched = scaling_constants(law, k, n)
-        for rep in range(reps):
-            rng = derived_rng(master_seed, ROLE_TRACE, n, rep)
-            real = build_coupled_realization(law, sched, rng, engine="grid")
-            j[rep, col] = sup_distance(real, "grid")
+    rungs = _ladder(law, k, grid, reps, master_seed, ROLE_TRACE, GRID_STEP_DIVISOR, 10**9, 1)
+    j = np.array([[s.sup for s in samples] for _, samples in rungs]).T
     monotone = np.all(np.diff(j, axis=1) < 0.0, axis=1)
     return TraceResult(
         n_grid=grid,

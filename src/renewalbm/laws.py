@@ -29,18 +29,6 @@ class JumpLaw:
     kind: str
     params: tuple[float, ...] = ()
 
-    @property
-    def m1(self) -> float:
-        return moments(self)[0]
-
-    @property
-    def m2(self) -> float:
-        return moments(self)[1]
-
-    @property
-    def m4(self) -> float:
-        return moments(self)[2]
-
 
 def uniform01() -> JumpLaw:
     return JumpLaw("uniform01")
@@ -145,10 +133,6 @@ def sample_jumps(law: JumpLaw, rng: np.random.Generator, size: int | None = None
         a, b, p = law.params
         draws = np.where(rng.random(m) < p, a, b)
     return float(draws[0]) if size is None else draws
-
-
-def sample_jump(law: JumpLaw, rng: np.random.Generator) -> float:
-    return sample_jumps(law, rng)
 
 
 def law_label(law: JumpLaw) -> str:

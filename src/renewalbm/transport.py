@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DomainError, InputError, ParameterError, RateConditionError
-from .laws import JumpLaw, law_label, moments, sample_jumps
+from .laws import JumpLaw, moments, sample_jumps
 
 DEFAULT_EVENT_CAP = 10**8
 
@@ -222,11 +222,3 @@ def terminal_samples(
         path = sample_renewal_path(law, schedule, horizon, rng)
         out[i] = build_transport_path(path, schedule).value_at(horizon)
     return out
-
-
-def describe_schedule(law: JumpLaw, schedule: ScalingSchedule) -> str:
-    return (
-        f"law={law_label(law)} k={schedule.k:g} n={schedule.n} "
-        f"time_scale={schedule.time_scale:.6g} normalizer={schedule.normalizer:.6g} "
-        f"mean_step={schedule.mean_step:.6g}"
-    )

@@ -45,6 +45,7 @@ def test_usage_exit_codes(tmp_path, capsys):
     assert "k must exceed 1" in capsys.readouterr().err
     assert main(["simulate-path", "--out", str(tmp_path)]) == 2  # --n required
     assert main(["rate", "--n-grid", "8,4", "--reps", "4", "--out", str(tmp_path)]) == 2
+    assert main(["rate", "--n-grid", "4,8", "--q", "1", "--out", str(tmp_path)]) == 2
     assert main(["gof", "--n", "10", "--s", "0.9", "--t", "0.5", "--out", str(tmp_path)]) == 2
     assert main(["simulate-path", "--n", "10", "--frobnicate"]) == 2
     assert main(["couple", "--n", "6", "--engine", "exact", "--export-grid-path",
@@ -99,6 +100,10 @@ def test_config_file_merge_and_override(tmp_path, capsys):
 
     cfg.write_text("just some words\n", encoding="utf-8")
     assert main(["simulate-path", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    cfg.write_text("n_grid = 4,8\nq = 1\n", encoding="utf-8")
+    assert main(["rate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "unknown config key 'q'" in capsys.readouterr().err
 
 
 def test_rate_artifacts_are_reproducible(tmp_path):

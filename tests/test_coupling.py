@@ -48,8 +48,6 @@ def test_unit_schedule_realization():
     assert np.all(real.durations == 1.0)
     assert real.first_cover == 1
     assert np.array_equal(real.skeleton, np.concatenate([[0], np.cumsum(real.signs)]))
-    step = real.embedding_step(1)
-    assert step.level == 1.0 and step.duration == 1.0
     assert real.value_at(0.5) == 0.5 * real.signs[0]
 
 
@@ -107,13 +105,6 @@ def test_sup_modes_need_grid_engine():
     grid_real = build_coupled_realization(LAW, SCHED10, np.random.default_rng(3))
     with pytest.raises(UnsupportedModeError):
         sup_distance(grid_real, "everywhere")
-
-
-def test_skeleton_sup_never_exceeds_grid_sup():
-    rng = np.random.default_rng(71)
-    for _ in range(3):
-        real = build_coupled_realization(LAW, SCHED10, rng)
-        assert sup_distance(real, "skeleton") <= sup_distance(real, "grid")
 
 
 def test_decomposition_bounds_sup():

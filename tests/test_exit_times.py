@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from renewalbm import (
@@ -148,3 +150,19 @@ def test_first_crossing_chunk_boundaries():
     assert first_crossing(v, 0, 0.5, chunk=4096) == 8191
     assert first_crossing(v, 8190, 0.5, chunk=4096) == 8191
     assert first_crossing(v, 8191, 0.5, chunk=4096) == 8192  # drop back to 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=300),
+    data=st.data(),
+    level=st.floats(0.0, 3.0, allow_nan=False),
+    chunk=st.integers(1, 64),
+)
+def test_first_crossing_matches_brute_force(steps, data, level, chunk):
+    v = np.concatenate([[0.0], np.cumsum(steps)])
+    start = data.draw(st.integers(0, len(v) - 1), label="start")
+    want = next(
+        (j for j in range(start + 1, len(v)) if abs(v[j] - v[start]) >= level), -1
+    )
+    assert first_crossing(v, start, level, chunk=chunk) == want

@@ -5,19 +5,25 @@ import math
 import numpy as np
 import pytest
 
+import renewalbm.experiments
 from renewalbm import (
+    ROLE_TRACE,
     BudgetError,
     InputError,
     RateConditionError,
     RateExperimentConfig,
     as_trace,
+    build_coupled_realization,
     covariance_check,
+    derived_rng,
     fit_rate,
     ks_normal,
     ks_two_sample,
     ks_uniform,
     rate_scale,
     run_rate_experiment,
+    scaling_constants,
+    sup_distance,
     uniform01,
 )
 
@@ -137,7 +143,8 @@ def test_rate_experiment_smoke():
     assert result.max_bound_gap <= 0.0
     assert result.max_skeleton_err < 1e-12
     assert result.max_slope_err < 1e-10
-    assert math.isfinite(result.slope) and math.isfinite(result.r_squared)
+    # no rung lies past the scale's peak e**(6/k) ~ 20.1, so there is no fit
+    assert math.isnan(result.slope) and math.isnan(result.r_squared)
     for row in result.rows:
         assert row.mean_j >= row.median_j * 0.3
         assert min(row.mean_j1, row.mean_j2, row.mean_j3, row.mean_j4) > 0.0
@@ -149,7 +156,29 @@ def test_rate_experiment_deterministic_across_workers():
     c = run_rate_experiment(_small_cfg(), workers=2)
     assert a.rows == b.rows == c.rows
     assert a.alpha == b.alpha == c.alpha
-    assert a.slope == c.slope
+    assert np.array_equal([a.slope, a.r_squared], [c.slope, c.r_squared], equal_nan=True)
+
+
+def test_rate_fit_uses_rungs_past_the_peak():
+    # k = 2.5 puts the scale's peak at e**2.4 ~ 11.0, so only n = 12, 16 fit
+    result = run_rate_experiment(_small_cfg(k=2.5, n_grid=(8, 12, 16), reps=3))
+    slope, intercept, r2 = fit_rate(
+        [(rate_scale(row.n, 2.5), row.median_j) for row in result.rows[1:]]
+    )
+    assert (result.slope, result.intercept, result.r_squared) == (slope, intercept, r2)
+
+
+def test_rate_campaign_opens_one_pool(monkeypatch):
+    real_pool = renewalbm.experiments.Pool
+    starts = []
+
+    def counting_pool(workers):
+        starts.append(workers)
+        return real_pool(workers)
+
+    monkeypatch.setattr(renewalbm.experiments, "Pool", counting_pool)
+    run_rate_experiment(_small_cfg(), workers=2)
+    assert starts == [2]
 
 
 def test_rate_experiment_fixed_alpha_and_single_scale():
@@ -194,6 +223,15 @@ def test_trace_shapes_and_validation():
         as_trace(LAW, 2.0, [8, 4], 3, master_seed=1)
     with pytest.raises(InputError):
         as_trace(LAW, 2.0, [4, 8], 0, master_seed=1)
+
+
+def test_trace_uses_its_own_streams_and_the_default_grid():
+    trace = as_trace(LAW, 2.0, [4, 8], 3, master_seed=9)
+    for col, n in enumerate((4, 8)):
+        sched = scaling_constants(LAW, 2.0, n)
+        for rep in (0, 2):
+            real = build_coupled_realization(LAW, sched, derived_rng(9, ROLE_TRACE, n, rep))
+            assert trace.j[rep, col] == sup_distance(real, "grid")
 
 
 def test_trace_trend_and_determinism():

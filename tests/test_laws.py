@@ -11,7 +11,6 @@ from renewalbm import (
     law_label,
     moments,
     parse_law,
-    sample_jump,
     sample_jumps,
     two_point,
     uniform01,
@@ -82,7 +81,7 @@ def test_zero_atom_flag():
 
 def test_deterministic_sampler_is_point_mass():
     rng = np.random.default_rng(0)
-    assert sample_jump(deterministic(0.25), rng) == 0.25
+    assert sample_jumps(deterministic(0.25), rng) == 0.25
     assert np.all(sample_jumps(deterministic(0.25), rng, 100) == 0.25)
 
 
