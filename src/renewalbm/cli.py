@@ -2,7 +2,7 @@
 
 Flags override key=value config files, unknown keys are rejected, and every
 run prints a one-line summary. Exit codes: 0 success, 2 usage, 3 capacity or
-budget exhaustion, 1 anything else.
+budget exhaustion or a failed allocation, 1 anything else.
 """
 
 from __future__ import annotations
@@ -422,6 +422,9 @@ def main(argv=None) -> int:
         return dispatch(args)
     except (CapacityError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -208,23 +208,27 @@ def _ladder(law, k, n_grid, reps, master_seed, role, divisor, max_steps, workers
 
 
 def run_rate_experiment(cfg: RateExperimentConfig, workers: int = 1) -> RateResult:
-    """Run the campaign; on budget exhaustion keep finished scales.
+    """Run the campaign; when the step budget or memory runs out, keep the
+    finished scales and flag the result incomplete.
 
     Per-replication streams are derived from (master_seed, ROLE_RATE, n,
     rep), and the reduction preserves replication order, so equal configs give
     identical results at any worker count.
     """
     per_n: list[tuple[int, list[RateSample]]] = []
-    complete = True
+    stop = None
     rungs = _ladder(cfg.law, cfg.k, cfg.n_grid, cfg.reps, cfg.master_seed, ROLE_RATE,
                     cfg.grid_step_divisor, cfg.max_grid_steps, workers)
     try:
         for rung in rungs:
             per_n.append(rung)
-    except BudgetError:
-        complete = False
+    except (BudgetError, MemoryError) as exc:
+        stop = exc
     if not per_n:
-        raise BudgetError("step budget exhausted before the smallest scale finished")
+        raise BudgetError(
+            f"step budget or memory exhausted before the smallest scale finished: {stop}"
+        ) from stop
+    complete = stop is None
 
     first_n, first_samples = per_n[0]
     if cfg.alpha is not None:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import renewalbm.experiments
 from renewalbm.cli import main
 from renewalbm.csvio import format_value, write_summary
 
@@ -57,6 +58,22 @@ def test_capacity_exit_code(tmp_path, capsys):
     assert main(["simulate-path", "--n", "10000", "--out", str(tmp_path)]) == 3
     assert "error:" in capsys.readouterr().err
 
+
+
+def test_allocation_failure_exit_code(tmp_path, capsys, monkeypatch):
+    real_build = renewalbm.experiments.build_coupled_realization
+
+    def build(law, sched, rng, **kw):
+        if sched.n == 8:
+            raise MemoryError("Unable to allocate 1.00 GiB for an array")
+        return real_build(law, sched, rng, **kw)
+
+    monkeypatch.setattr(renewalbm.experiments, "build_coupled_realization", build)
+    assert main(["rate", "--n-grid", "8,16", "--reps", "2", "--out", str(tmp_path)]) == 3
+    assert "error:" in capsys.readouterr().err
+    # a finished scale is kept and written, flagged incomplete
+    assert main(["rate", "--n-grid", "4,8", "--reps", "2", "--out", str(tmp_path)]) == 0
+    assert _summary_dict(tmp_path / "rate_summary.txt")["complete"] == "false"
 
 def test_missing_out_dir_fails(tmp_path):
     assert main(["simulate-path", "--n", "10", "--out", str(tmp_path / "absent")]) == 1

@@ -1,12 +1,19 @@
 """Skorokhod-embedding coupling: levels, clocks, skeleton, and the sup bound."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import renewalbm.coupling
 from renewalbm import (
+    CoupledRealization,
     DomainError,
+    GridPath,
     InputError,
     ParameterError,
     UnsupportedModeError,
@@ -20,9 +27,11 @@ from renewalbm import (
     scaling_constants,
     skeleton_identity_error,
     sup_distance,
+    two_point,
     uniform01,
 )
-from renewalbm.coupling import BGK_SHIFT
+from renewalbm.coupling import BGK_SHIFT, _grid_horizon_index
+from renewalbm.streams import ROLE_RATE, derived_rng
 
 LAW = uniform01()
 SCHED10 = scaling_constants(LAW, 2.0, 10)
@@ -198,3 +207,79 @@ def test_build_is_deterministic_per_seed():
     assert np.array_equal(a.path_times, b.path_times)
     assert np.array_equal(a.grid.values, b.grid.values)
     assert a.first_cover == b.first_cover
+
+
+def _value_at_sup(real):
+    # the formulation sup_distance had before its knot search: one
+    # searchsorted per grid time through value_at, kept as the reference
+    i_max = _grid_horizon_index(real.grid)
+    t = np.arange(i_max + 1) * real.grid.step
+    return float(np.abs(real.value_at(t) - real.grid.values[: i_max + 1]).max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    points=st.floats(1.0, 400.0),
+    data=st.data(),
+    block=st.integers(1, 200),
+    n=st.sampled_from([2, 10, 64]),
+)
+def test_sup_distance_matches_value_at_exactly(points, data, block, n):
+    h = 1.0 / points
+    i_max = int(1.0 / h)
+    while i_max * h > 1.0:
+        i_max -= 1
+    # interior knots: on grid times i * h, anywhere in [0, 1.5], or repeats
+    on_grid = st.integers(0, i_max).map(lambda i: i * h)
+    knots = data.draw(st.lists(on_grid | st.floats(0.0, 1.5), max_size=40), label="knots")
+    repeats = data.draw(st.lists(st.sampled_from(knots), max_size=10) if knots else st.just([]),
+                        label="repeats")
+    interior = sorted(knots + repeats)
+    last = max([1.0] + interior) + data.draw(st.floats(1e-9, 0.5), label="tail")
+    path_times = np.array([0.0] + interior + [last])
+    steps = len(path_times) - 1
+    values = st.floats(-3.0, 3.0)
+    signs = data.draw(arrays(np.int64, steps, elements=st.sampled_from([-1, 1])), label="signs")
+    skeleton = data.draw(arrays(np.float64, steps + 1, elements=values), label="skeleton")
+    extra = data.draw(st.integers(0, 5), label="extra")
+    walk = data.draw(arrays(np.float64, i_max + 1 + extra, elements=values), label="walk")
+    sched = scaling_constants(LAW, 2.0, n)
+    durations = np.diff(path_times)
+    real = CoupledRealization(
+        law=LAW, schedule=sched, engine="grid", levels=durations / sched.normalizer,
+        signs=signs, exit_times=durations, durations=durations, path_times=path_times,
+        bm_times=path_times, skeleton=skeleton, first_cover=0,
+        grid=GridPath(step=h, values=walk, max_increment=0.0), bm_index=None,
+    )
+    with mock.patch.object(renewalbm.coupling, "SUP_BLOCK", block):
+        assert sup_distance(real) == _value_at_sup(real)
+
+
+@pytest.mark.parametrize("law", [deterministic(1.0), two_point(0.0, 1.0, 0.5)],
+                         ids=["deterministic", "two_point"])
+def test_sup_distance_matches_value_at_on_builds(law):
+    # equal knot spacing puts knots on or next to grid times; the zero atom
+    # of two_point repeats knots
+    for n, seed in ((4, 1), (8, 2), (8, 3)):
+        sched = scaling_constants(law, 2.0, n)
+        real = build_coupled_realization(law, sched, np.random.default_rng(seed))
+        assert sup_distance(real) == _value_at_sup(real)
+
+
+def test_grid_engine_bits_are_pinned():
+    # decompose_sup of three rate-stream realizations, bit for bit; a change
+    # that moves the grid engine's draw order or arithmetic must update these
+    want = [
+        ("0x1.898dec473e5c6p-2", "0x1.ddbe8d40c4870p-2", "0x1.7ace6512fac29p-2",
+         "0x1.6dec58ae831ccp-2", "0x1.36d9b559a5c86p-3", "0x1.5538d19e7726ep-5"),
+        ("0x1.4f473cc972eb3p-1", "0x1.75a99e4490e93p-1", "0x1.8bc4bb61a38f6p-2",
+         "0x1.3cf1e35ac3b5cp-2", "0x1.32fb9f2e6cf81p-3", "0x1.4dc2f09aa9e7ep-5"),
+        ("0x1.3f8a113e1a620p-1", "0x1.7176f399622cep-1", "0x1.88c5ca3e2de54p-2",
+         "0x1.322f26a22078cp-2", "0x1.37a2f59b81471p-3", "0x1.af30738f85a80p-5"),
+    ]
+    sched = scaling_constants(LAW, 2.0, 8)
+    for rep, literals in enumerate(want):
+        real = build_coupled_realization(LAW, sched, derived_rng(17, ROLE_RATE, 8, rep))
+        dec = decompose_sup(real)
+        got = (dec.sup, dec.j1, dec.j2, dec.j3, dec.j4, dec.slack)
+        assert got == tuple(float.fromhex(x) for x in literals)

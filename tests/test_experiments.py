@@ -199,6 +199,26 @@ def test_rate_experiment_budget_paths():
     assert math.isnan(result.slope)
 
 
+
+def _fail_allocation_at(monkeypatch, n_fail):
+    real_build = renewalbm.experiments.build_coupled_realization
+
+    def build(law, sched, rng, **kw):
+        if sched.n == n_fail:
+            raise MemoryError("Unable to allocate 1.00 GiB for an array")
+        return real_build(law, sched, rng, **kw)
+
+    monkeypatch.setattr(renewalbm.experiments, "build_coupled_realization", build)
+
+
+def test_rate_experiment_keeps_rungs_when_memory_runs_out(monkeypatch):
+    _fail_allocation_at(monkeypatch, 8)
+    result = run_rate_experiment(_small_cfg())
+    assert not result.complete
+    assert [row.n for row in result.rows] == [4]
+    with pytest.raises(BudgetError, match="Unable to allocate"):
+        run_rate_experiment(_small_cfg(n_grid=(8, 16)))
+
 def test_mean_extreme_segment_move():
     # durations are uniform on (0, time_scale], so the largest of the N
     # segment moves has mean (time_scale/normalizer) * N / (N + 1)
