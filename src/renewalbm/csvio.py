@@ -13,6 +13,8 @@ import numpy as np
 from ._version import __version__
 from .laws import law_label
 
+ROW_BLOCK = 8192  # rows rendered per write; bounds the strings held at once
+
 
 def format_value(x) -> str:
     """Render a cell: shortest round-trip repr for floats, str otherwise."""
@@ -33,15 +35,17 @@ def _open(file):
     return open(file, "w", newline="\n", encoding="utf-8")
 
 
-def _write_rows(fh, rows):
-    chunk = []
-    for row in rows:
-        chunk.append(",".join(format_value(c) for c in row))
-        if len(chunk) >= 65536:
-            fh.write("\n".join(chunk) + "\n")
-            chunk = []
-    if chunk:
-        fh.write("\n".join(chunk) + "\n")
+def _write_columns(fh, *columns) -> None:
+    """Write equal-length int or float columns as CSV rows, ROW_BLOCK rows at a time.
+
+    Each block of a column becomes Python ints or floats through tolist and
+    each cell is rendered with repr, the rendering format_value gives them,
+    so the bytes are those of format_value row by row.
+    """
+    cols = [np.asarray(c) for c in columns]
+    for start in range(0, len(cols[0]), ROW_BLOCK):
+        cells = [map(repr, c[start : start + ROW_BLOCK].tolist()) for c in cols]
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_path_csv(file, tp, law, schedule, seed) -> None:
@@ -60,10 +64,11 @@ def write_path_csv(file, tp, law, schedule, seed) -> None:
             + "\n"
         )
         fh.write("t,value\n")
-        rows = list(zip(tp.knot_times, tp.knot_values))
-        if tp.horizon > tp.knot_times[-1]:
-            rows.append((tp.horizon, tp.value_at(tp.horizon)))
-        _write_rows(fh, rows)
+        t, value = tp.knot_times, tp.knot_values
+        if tp.horizon > t[-1]:
+            t = np.append(t, tp.horizon)
+            value = np.append(value, tp.value_at(tp.horizon))
+        _write_columns(fh, t, value)
 
 
 def write_realization_csv(file, real, seed) -> None:
@@ -85,9 +90,8 @@ def write_realization_csv(file, real, seed) -> None:
             + "\n"
         )
         fh.write("m,Gamma,Lambda,skeleton_value\n")
-        _write_rows(
-            fh,
-            zip(range(real.n_steps + 1), real.path_times, real.bm_times, real.skeleton),
+        _write_columns(
+            fh, np.arange(real.n_steps + 1), real.path_times, real.bm_times, real.skeleton
         )
 
 
@@ -113,7 +117,7 @@ def write_grid_csv(file, real, seed) -> None:
         )
         fh.write("t,w\n")
         t = np.arange(len(real.grid.values)) * real.grid.step
-        _write_rows(fh, zip(t, real.grid.values))
+        _write_columns(fh, t, real.grid.values)
 
 
 def write_rate_csv(file, result) -> None:
@@ -137,23 +141,10 @@ def write_rate_csv(file, result) -> None:
             + "\n"
         )
         fh.write("n,mean_J,median_J,q90_J,exceedance,J1,J2,J3,J4\n")
-        _write_rows(
-            fh,
-            (
-                (
-                    row.n,
-                    row.mean_j,
-                    row.median_j,
-                    row.q90_j,
-                    row.exceedance,
-                    row.mean_j1,
-                    row.mean_j2,
-                    row.mean_j3,
-                    row.mean_j4,
-                )
-                for row in result.rows
-            ),
+        fields = (
+            "n", "mean_j", "median_j", "q90_j", "exceedance", "mean_j1", "mean_j2", "mean_j3", "mean_j4"
         )
+        _write_columns(fh, *([getattr(row, f) for row in result.rows] for f in fields))
         fh.write(
             "# fit "
             + _kv(
@@ -187,7 +178,7 @@ def write_trace_csv(file, trace, law, k, seed) -> None:
             + "\n"
         )
         fh.write("rep," + ",".join(f"J_n{n}" for n in trace.n_grid) + "\n")
-        _write_rows(fh, ((rep, *trace.j[rep]) for rep in range(trace.j.shape[0])))
+        _write_columns(fh, np.arange(trace.j.shape[0]), *trace.j.T)
         fh.write(
             "# "
             + _kv(

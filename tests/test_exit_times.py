@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+import renewalbm.exit_times
 from renewalbm import (
     BudgetError,
+    NumericError,
     ParameterError,
     first_crossing,
     grid_exit,
@@ -17,6 +19,43 @@ from renewalbm import (
     sample_first_exit,
     unit_exit_cdf,
 )
+from renewalbm.exit_times import (
+    _TABLE_F,
+    _UPPER_BRACKET,
+    SERIES_SWITCH_T,
+    SERIES_TERM_TOL,
+    _density_large_t,
+    _density_small_t,
+    unit_exit_density,
+)
+
+
+def bisect_unit_cdf(u: np.ndarray, *, prob_tol: float = 1e-10, max_iter: int = 128) -> np.ndarray:
+    """Solve unit_exit_cdf(t) = u elementwise by bisection.
+
+    Convergence criterion is the bracket width measured in probability, so
+    every returned draw carries distribution-function error at most prob_tol.
+    """
+    u = np.asarray(u, dtype=float)
+    lo = np.zeros_like(u)
+    hi = np.full_like(u, _UPPER_BRACKET)
+    flo = np.zeros_like(u)
+    fhi = np.ones_like(u)
+    active = np.arange(u.size)
+    for _ in range(max_iter):
+        if active.size == 0:
+            break
+        mid = 0.5 * (lo[active] + hi[active])
+        fm = unit_exit_cdf(mid)
+        below = fm < u[active]
+        lo[active] = np.where(below, mid, lo[active])
+        flo[active] = np.where(below, fm, flo[active])
+        hi[active] = np.where(below, hi[active], mid)
+        fhi[active] = np.where(below, fhi[active], fm)
+        active = active[(fhi[active] - flo[active]) > prob_tol]
+    if active.size:
+        raise NumericError("bisection did not reach the probability tolerance")
+    return 0.5 * (lo + hi)
 
 
 def test_cdf_shape_and_limits():
@@ -67,11 +106,74 @@ def test_inversion_round_trip():
     assert np.max(np.abs(unit_exit_cdf(t) - u)) < 1.1e-10
 
 
+def _check_inversion(u):
+    # the Newton inversion against its contract and against the bisection
+    u = np.sort(np.asarray(u, dtype=float))
+    t = invert_unit_cdf(u)
+    assert np.all(t > 0.0) and np.all(np.isfinite(t))
+    f = unit_exit_cdf(t)
+    assert np.all(np.abs(f - u) <= 1e-10)
+    assert np.all(np.abs(f - unit_exit_cdf(bisect_unit_cdf(u))) <= 2e-10)
+    assert np.all(np.diff(t) >= 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+def test_inversion_properties(u):
+    _check_inversion(u)
+
+
+def test_inversion_edge_points():
+    f_switch = unit_exit_cdf(SERIES_SWITCH_T)
+    _check_inversion([0.0, 2.0**-53, 1.0 - 2.0**-53, f_switch - 1e-12, f_switch + 1e-12])
+    _check_inversion(_TABLE_F)
+
+
+def test_inversion_keeps_shape_and_blocks(monkeypatch):
+    u = np.random.default_rng(5).random((3, 7))
+    whole = invert_unit_cdf(u)
+    assert whole.shape == (3, 7)
+    # a block's series truncation depends on its members, so bits may move
+    # with the block size; the tolerance may not
+    monkeypatch.setattr(renewalbm.exit_times, "_INVERT_BLOCK", 4)
+    blocked = invert_unit_cdf(u)
+    assert np.all(np.abs(unit_exit_cdf(blocked) - u) <= 1e-10)
+    assert np.all(np.abs(unit_exit_cdf(blocked) - unit_exit_cdf(whole)) <= 2e-10)
+
+
+def test_inversion_raises_past_the_pass_bound(monkeypatch):
+    # interpolated starts miss the tolerance, so one evaluation cannot do
+    monkeypatch.setattr(renewalbm.exit_times, "_MAX_PASSES", 1)
+    with pytest.raises(NumericError):
+        invert_unit_cdf(np.linspace(0.1, 0.9, 9))
+
+
+def test_density_matches_central_difference():
+    h = 1e-6
+    for t in (np.linspace(0.01, 0.049, 40), np.linspace(0.051, 6.0, 60)):
+        fd = (unit_exit_cdf(t + h) - unit_exit_cdf(t - h)) / (2.0 * h)
+        assert np.allclose(unit_exit_density(t), fd, rtol=1e-5, atol=1e-6)
+
+
+def test_density_continuous_at_switch():
+    t = np.array([SERIES_SWITCH_T])
+    assert abs(_density_small_t(t)[0] - _density_large_t(t)[0]) < 1e-10
+    below, above = unit_exit_density(np.array([SERIES_SWITCH_T - 1e-12, SERIES_SWITCH_T]))
+    assert abs(above - below) < 1e-10
+    assert unit_exit_density(0.0) == 0.0 and unit_exit_density(-1.0) == 0.0
+
+
 def test_sampler_parameter_checks():
     rng = np.random.default_rng(0)
     for a in (0.0, -1.0):
         with pytest.raises(ParameterError):
             sample_first_exit(a, rng)
+    # no tolerance at or below the series' own truncation error can be verified
+    for tol in (0.0, -1e-3, SERIES_TERM_TOL, 1.0, 2.0, math.nan):
+        with pytest.raises(ParameterError):
+            sample_first_exit(1.0, rng, size=3, prob_tol=tol)
+        with pytest.raises(ParameterError):
+            invert_unit_cdf(np.array([0.5]), prob_tol=tol)
     with pytest.raises(ParameterError):
         grid_exit(0.0, 1e-4, rng)
     with pytest.raises(ParameterError):
