@@ -3,161 +3,30 @@
 Builds piecewise-linear transport paths from renewal-reward processes,
 embeds their increments into a single Brownian path via first-exit times,
 and measures pathwise sup distances, their four-term decomposition, and
-deviation rates across scales.
+deviation rates across scales. The package root exports the names README
+documents; everything else is imported from its submodule.
 """
 
 from ._version import __version__
-from .coupling import (
-    GRID_STEP_DIVISOR,
-    CoupledRealization,
-    GridPath,
-    SupDecomposition,
-    build_coupled_realization,
-    decompose_sup,
-    embedding_diagnostics,
-    sample_embedding_steps,
-    sample_exit_level,
-    sup_distance,
-)
-from .errors import (
-    BudgetError,
-    CapacityError,
-    ConsistencyError,
-    DomainError,
-    InputError,
-    NumericError,
-    ParameterError,
-    RateConditionError,
-    UnsupportedModeError,
-    UsageError,
-)
-from .exit_times import (
-    GridExit,
-    first_crossing,
-    grid_exit,
-    invert_unit_cdf,
-    sample_first_exit,
-    unit_exit_cdf,
-)
-from .experiments import (
-    GofResult,
-    RateExperimentConfig,
-    RateResult,
-    RateRow,
-    RateSample,
-    TraceResult,
-    as_trace,
-    covariance_check,
-    fit_rate,
-    ks_normal,
-    ks_two_sample,
-    ks_uniform,
-    rate_scale,
-    run_rate_experiment,
-    skeleton_identity_error,
-    slope_error,
-)
-from .laws import (
-    JumpLaw,
-    deterministic,
-    exponential,
-    has_zero_atom,
-    law_label,
-    moments,
-    parse_law,
-    sample_jumps,
-    two_point,
-    uniform01,
-    validate_law,
-)
-from .streams import (
-    ROLE_COUPLE,
-    ROLE_GOF_COV,
-    ROLE_GOF_TERMINAL,
-    ROLE_PATH,
-    ROLE_RATE,
-    ROLE_TRACE,
-    derived_rng,
-)
-from .transport import (
-    DEFAULT_EVENT_CAP,
-    RenewalPath,
-    ScalingSchedule,
-    TransportPath,
-    build_transport_path,
-    sample_renewal_path,
-    scaling_constants,
-    terminal_samples,
-)
+from .coupling import build_coupled_realization, decompose_sup, sup_distance
+from .errors import ConsistencyError
+from .exit_times import grid_exit
+from .experiments import rate_scale
+from .laws import deterministic, exponential, two_point, uniform01
+from .transport import build_transport_path, sample_renewal_path, scaling_constants
 
 __all__ = [
-    "__version__",
-    "BudgetError",
-    "CapacityError",
     "ConsistencyError",
-    "CoupledRealization",
-    "DEFAULT_EVENT_CAP",
-    "DomainError",
-    "GofResult",
-    "GRID_STEP_DIVISOR",
-    "GridExit",
-    "GridPath",
-    "InputError",
-    "JumpLaw",
-    "NumericError",
-    "ParameterError",
-    "RateConditionError",
-    "RateExperimentConfig",
-    "RateResult",
-    "RateRow",
-    "RateSample",
-    "RenewalPath",
-    "ROLE_COUPLE",
-    "ROLE_GOF_COV",
-    "ROLE_GOF_TERMINAL",
-    "ROLE_PATH",
-    "ROLE_RATE",
-    "ROLE_TRACE",
-    "ScalingSchedule",
-    "SupDecomposition",
-    "TraceResult",
-    "TransportPath",
-    "UnsupportedModeError",
-    "UsageError",
-    "as_trace",
     "build_coupled_realization",
     "build_transport_path",
-    "covariance_check",
     "decompose_sup",
     "deterministic",
-    "derived_rng",
-    "embedding_diagnostics",
     "exponential",
-    "first_crossing",
-    "fit_rate",
     "grid_exit",
-    "has_zero_atom",
-    "invert_unit_cdf",
-    "ks_normal",
-    "ks_two_sample",
-    "ks_uniform",
-    "law_label",
-    "moments",
-    "parse_law",
     "rate_scale",
-    "run_rate_experiment",
-    "sample_embedding_steps",
-    "sample_exit_level",
-    "sample_first_exit",
-    "sample_jumps",
     "sample_renewal_path",
     "scaling_constants",
-    "skeleton_identity_error",
-    "slope_error",
     "sup_distance",
-    "terminal_samples",
     "two_point",
     "uniform01",
-    "unit_exit_cdf",
-    "validate_law",
 ]

@@ -1,8 +1,8 @@
 """Command-line front end: config parsing, dispatch, and artifact emission.
 
 Flags override key=value config files, unknown keys are rejected, and every
-run prints a one-line summary. Exit codes: 0 success, 2 usage, 3 capacity or
-budget exhaustion or a failed allocation, 1 anything else.
+run prints a one-line summary. Exit codes: 0 success, 2 usage, 3 a request
+past the allocation budget or a failed allocation, 1 anything else.
 """
 
 from __future__ import annotations
@@ -15,7 +15,12 @@ import numpy as np
 
 from . import csvio
 from ._version import __version__
-from .coupling import build_coupled_realization, embedding_diagnostics, sup_distance
+from .coupling import (
+    GRID_STEP_DIVISOR,
+    build_coupled_realization,
+    embedding_diagnostics,
+    sup_distance,
+)
 from .errors import BudgetError, CapacityError, UsageError
 from .experiments import (
     RateExperimentConfig,
@@ -51,7 +56,7 @@ _DEFAULTS = {
     "k": 2.0,
     "seed": 0,
     "engine": "grid",
-    "grid_step_divisor": 1000,
+    "grid_step_divisor": GRID_STEP_DIVISOR,
     "out": ".",
     "export_grid_path": False,
     "alpha": None,
@@ -146,14 +151,14 @@ def _build_parser() -> argparse.ArgumentParser:
     law_k_seed(sp)
     sp.add_argument("--n", type=int, default=_UNSET, help="scale index (required)")
     sp.add_argument("--engine", choices=("exact", "grid"), default=_UNSET, help="embedding engine (default grid)")
-    sp.add_argument("--grid-step-divisor", type=int, default=_UNSET, help="grid step = mean_step / divisor (default 1000)")
+    sp.add_argument("--grid-step-divisor", type=int, default=_UNSET, help=f"grid step = mean_step / divisor (default {GRID_STEP_DIVISOR})")
     sp.add_argument("--export-grid-path", action="store_true", default=_UNSET, help="also write the grid Brownian path (may be large)")
 
     sp = sub.add_parser("rate", help="deviation-rate campaign across scales")
     law_k_seed(sp)
     sp.add_argument("--n-grid", type=_parse_n_grid, default=_UNSET, help="comma-separated increasing scales (required)")
     sp.add_argument("--reps", type=int, default=_UNSET, help="replications per scale (default 200)")
-    sp.add_argument("--grid-step-divisor", type=int, default=_UNSET, help="grid step = mean_step / divisor (default 1000)")
+    sp.add_argument("--grid-step-divisor", type=int, default=_UNSET, help=f"grid step = mean_step / divisor (default {GRID_STEP_DIVISOR})")
     sp.add_argument("--alpha", type=float, default=_UNSET, help="exceedance constant (default: calibrate at smallest scale)")
     sp.add_argument("--workers", type=int, default=_UNSET, help="parallel replication workers (default 1)")
 

@@ -32,12 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BudgetError,
+    ConsistencyError,
     DomainError,
     InputError,
     ParameterError,
     UnsupportedModeError,
-    ConsistencyError,
+    check_budget,
 )
 from .exit_times import first_crossing, invert_unit_cdf
 from .laws import JumpLaw, sample_jumps
@@ -131,7 +131,6 @@ def build_coupled_realization(
     *,
     engine: str = "grid",
     grid_step: float | None = None,
-    max_grid_steps: int = 10**9,
 ) -> CoupledRealization:
     """Run the embedding until the transport clock passes 1.
 
@@ -139,7 +138,8 @@ def build_coupled_realization(
     no Brownian values between skeleton points. engine="grid" advances one
     shared N(0, h) walk (h defaults to mean_step/1000) and detects each exit
     as the first grid point past xi - BGK_SHIFT * sqrt(h); the walk is kept,
-    extended past every time the diagnostics read.
+    extended past every time the diagnostics read. Every walk array is checked
+    against errors.ALLOC_BUDGET_BYTES before it is allocated (BudgetError).
     """
     if engine not in ("exact", "grid"):
         raise ParameterError(f"unknown engine {engine!r}")
@@ -150,7 +150,7 @@ def build_coupled_realization(
     h = schedule.mean_step / GRID_STEP_DIVISOR if grid_step is None else float(grid_step)
     if not 0 < h <= schedule.mean_step:
         raise ParameterError(f"grid step {h!r} must lie in (0, mean_step]")
-    return _build_grid(law, schedule, rng, h, max_grid_steps)
+    return _build_grid(law, schedule, rng, h)
 
 
 def _draw_batches(law, schedule, rng, want):
@@ -204,12 +204,11 @@ def _build_exact(law, schedule, rng):
     return _assemble(law, schedule, "exact", levels, signs, sigmas, None, None)
 
 
-def _build_grid(law, schedule, rng, h, max_grid_steps):
+def _build_grid(law, schedule, rng, h):
     sqrt_h = math.sqrt(h)
     target = _target_steps(schedule)
     est = int(1.10 * max(1.0, (target + 2) * schedule.mean_step) / h) + 1024
-    if est > max_grid_steps:
-        raise BudgetError(f"initial walk of {est} steps exceeds budget {max_grid_steps}")
+    check_budget(est + 1, "initial grid walk")
 
     inc = rng.standard_normal(est)
     inc *= sqrt_h
@@ -221,8 +220,7 @@ def _build_grid(law, schedule, rng, h, max_grid_steps):
 
     def extend(extra):
         nonlocal walk, max_inc
-        if len(walk) - 1 + extra > max_grid_steps:
-            raise BudgetError(f"walk budget {max_grid_steps} exhausted")
+        check_budget(len(walk) + extra, "extended grid walk")
         more = rng.standard_normal(extra) * sqrt_h
         max_inc = max(max_inc, float(np.abs(more).max()))
         walk = np.concatenate([walk, walk[-1] + np.cumsum(more)])
@@ -317,7 +315,9 @@ def _require_grid(real: CoupledRealization) -> GridPath:
 
 
 def _grid_horizon_index(grid: GridPath) -> int:
-    i = int(1.0 / grid.step)
+    # The largest i with i * h <= 1. int(1 / h) can fall one short of it:
+    # at h = 5e-6, 1 / h is 199999.99999999997 while 200000 * h == 1.
+    i = int(1.0 / grid.step) + 1
     while i * grid.step > 1.0:
         i -= 1
     return min(i, len(grid.values) - 1)

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types and the allocation budget shared across the package."""
+
+# Largest array of float64 values the simulators may create, in bytes. Grid
+# walks and renewal event arrays are checked against it before they are
+# allocated, so a too-large request fails fast instead of exhausting memory.
+ALLOC_BUDGET_BYTES = 1 << 30
 
 
 class ParameterError(ValueError):
@@ -22,11 +27,11 @@ class UnsupportedModeError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Expected event count exceeds the configured memory cap."""
+    """A renewal path's event array would exceed the allocation budget."""
 
 
 class BudgetError(RuntimeError):
-    """A step budget was exhausted before the simulation finished."""
+    """A walk array would exceed the allocation budget."""
 
 
 class NumericError(ArithmeticError):
@@ -39,3 +44,12 @@ class ConsistencyError(RuntimeError):
 
 class UsageError(ValueError):
     """Invalid command line or config file input."""
+
+
+def check_budget(points, what: str, error: type[RuntimeError] = BudgetError) -> None:
+    """Raise error unless an array of points float64 values fits the budget."""
+    if 8 * points > ALLOC_BUDGET_BYTES:
+        raise error(
+            f"{what} of {points:,.0f} points needs {8 * points:,.0f} bytes, "
+            f"past the {ALLOC_BUDGET_BYTES:,}-byte allocation budget"
+        )

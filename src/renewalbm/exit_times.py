@@ -30,12 +30,11 @@ barrier instead (coupling.BGK_SHIFT), which removes it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import BudgetError, NumericError, ParameterError
+from .errors import NumericError, ParameterError, check_budget
 
 SERIES_SWITCH_T = 0.05
 SERIES_TERM_TOL = 1e-12
@@ -220,55 +219,31 @@ def sample_first_exit(
     return tau, sign
 
 
-@dataclass(eq=False)
-class GridExit:
-    """Result of one discrete-walk exit: time, side, and the walk itself.
+def grid_exit(a: float, h: float, rng: np.random.Generator) -> tuple[float, int]:
+    """Walk N(0, h) increments until |walk| >= a; return (exit_time, sign).
 
-    values[0] is 0 and values[i] is the walk at time i * h; the final entry
-    is the first one at or beyond +/-a, overshoot included.
-    """
-
-    exit_time: float
-    sign: int
-    values: np.ndarray
-
-
-def grid_exit(
-    a: float,
-    h: float,
-    rng: np.random.Generator,
-    *,
-    max_steps: int = 10**9,
-) -> GridExit:
-    """Walk N(0, h) increments until |walk| >= a.
-
-    Requires h <= a**2 / 100 so the walk resolves the interval. Raises
-    BudgetError when max_steps increments pass without an exit.
+    Requires h <= a**2 / 100 so the walk resolves the interval. The walk is
+    drawn in blocks and only its last value is kept; BudgetError if a block
+    would exceed errors.ALLOC_BUDGET_BYTES.
     """
     if not a > 0:
         raise ParameterError(f"interval half-width must be positive, got {a!r}")
     if not 0 < h <= a * a / 100.0:
         raise ParameterError(f"grid step h={h!r} must lie in (0, a^2/100]")
     sqrt_h = math.sqrt(h)
-    block = min(max_steps, int(1.25 * a * a / h) + 64)
-    blocks: list[np.ndarray] = []
+    block = int(1.25 * a * a / h) + 64
     last = 0.0
     used = 0
-    while used < max_steps:
-        m = min(block, max_steps - used)
-        w = last + np.cumsum(rng.standard_normal(m) * sqrt_h)
+    while True:
+        check_budget(block, "grid exit walk block")
+        w = last + np.cumsum(rng.standard_normal(block) * sqrt_h)
         hit = np.abs(w) >= a
         j = int(np.argmax(hit))
         if hit[j]:
-            blocks.append(w[: j + 1])
-            used += j + 1
-            values = np.concatenate([np.zeros(1), *blocks])
-            return GridExit(exit_time=used * h, sign=1 if w[j] > 0 else -1, values=values)
-        blocks.append(w)
-        used += m
+            return (used + j + 1) * h, 1 if w[j] > 0 else -1
+        used += block
         last = float(w[-1])
         block = max(1024, block // 2)
-    raise BudgetError(f"no exit within {max_steps} steps (a={a!r}, h={h!r})")
 
 
 def first_crossing(values: np.ndarray, start: int, level: float, *, chunk: int = 4096) -> int:

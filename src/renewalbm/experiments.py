@@ -62,7 +62,6 @@ class RateExperimentConfig:
     master_seed: int
     alpha: float | None = None
     grid_step_divisor: int = GRID_STEP_DIVISOR
-    max_grid_steps: int = 10**9
 
     def __post_init__(self):
         if not self.k > 1:
@@ -166,16 +165,11 @@ def slope_error(real, max_segments: int = 32) -> float:
 
 
 def _replicate(args) -> RateSample:
-    law, k, n, rep, master_seed, role, divisor, max_steps = args
+    law, k, n, rep, master_seed, role, divisor = args
     rng = derived_rng(master_seed, role, n, rep)
     sched = scaling_constants(law, k, n)
     real = build_coupled_realization(
-        law,
-        sched,
-        rng,
-        engine="grid",
-        grid_step=sched.mean_step / divisor,
-        max_grid_steps=max_steps,
+        law, sched, rng, engine="grid", grid_step=sched.mean_step / divisor
     )
     dec = decompose_sup(real)
     return RateSample(
@@ -192,11 +186,11 @@ def _replicate(args) -> RateSample:
     )
 
 
-def _ladder(law, k, n_grid, reps, master_seed, role, divisor, max_steps, workers):
+def _ladder(law, k, n_grid, reps, master_seed, role, divisor, workers):
     """Yield (n, samples in rep order) rung by rung; one pool serves the ladder."""
 
     def jobs(n):
-        return [(law, k, n, rep, master_seed, role, divisor, max_steps) for rep in range(reps)]
+        return [(law, k, n, rep, master_seed, role, divisor) for rep in range(reps)]
 
     if workers <= 1:
         for n in n_grid:
@@ -208,8 +202,8 @@ def _ladder(law, k, n_grid, reps, master_seed, role, divisor, max_steps, workers
 
 
 def run_rate_experiment(cfg: RateExperimentConfig, workers: int = 1) -> RateResult:
-    """Run the campaign; when the step budget or memory runs out, keep the
-    finished scales and flag the result incomplete.
+    """Run the campaign; when the allocation budget or memory runs out, keep
+    the finished scales and flag the result incomplete.
 
     Per-replication streams are derived from (master_seed, ROLE_RATE, n,
     rep), and the reduction preserves replication order, so equal configs give
@@ -218,7 +212,7 @@ def run_rate_experiment(cfg: RateExperimentConfig, workers: int = 1) -> RateResu
     per_n: list[tuple[int, list[RateSample]]] = []
     stop = None
     rungs = _ladder(cfg.law, cfg.k, cfg.n_grid, cfg.reps, cfg.master_seed, ROLE_RATE,
-                    cfg.grid_step_divisor, cfg.max_grid_steps, workers)
+                    cfg.grid_step_divisor, workers)
     try:
         for rung in rungs:
             per_n.append(rung)
@@ -226,7 +220,7 @@ def run_rate_experiment(cfg: RateExperimentConfig, workers: int = 1) -> RateResu
         stop = exc
     if not per_n:
         raise BudgetError(
-            f"step budget or memory exhausted before the smallest scale finished: {stop}"
+            f"allocation budget or memory exhausted before the smallest scale finished: {stop}"
         ) from stop
     complete = stop is None
 
@@ -418,7 +412,7 @@ def as_trace(law: JumpLaw, k: float, n_grid, reps: int, master_seed: int) -> Tra
     grid = _check_ladder(n_grid)
     if reps < 1:
         raise InputError("reps must be positive")
-    rungs = _ladder(law, k, grid, reps, master_seed, ROLE_TRACE, GRID_STEP_DIVISOR, 10**9, 1)
+    rungs = _ladder(law, k, grid, reps, master_seed, ROLE_TRACE, GRID_STEP_DIVISOR, 1)
     j = np.array([[s.sup for s in samples] for _, samples in rungs]).T
     monotone = np.all(np.diff(j, axis=1) < 0.0, axis=1)
     return TraceResult(

@@ -14,10 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, InputError, ParameterError, RateConditionError
+from .errors import (
+    CapacityError,
+    DomainError,
+    InputError,
+    ParameterError,
+    RateConditionError,
+    check_budget,
+)
 from .laws import JumpLaw, moments, sample_jumps
-
-DEFAULT_EVENT_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -101,22 +106,19 @@ def sample_renewal_path(
     schedule: ScalingSchedule,
     horizon: float,
     rng: np.random.Generator,
-    *,
-    max_events: int = DEFAULT_EVENT_CAP,
 ) -> RenewalPath:
     """Simulate one renewal path on [0, horizon].
 
-    The expected event count horizon/mean_step is checked against max_events
-    before anything is allocated. Draw order is fixed (initial flip, jump
-    blocks, arrival flips) so equal seeds give identical paths.
+    Before each block of jumps is drawn, the event count it would bring the
+    path to is checked against errors.ALLOC_BUDGET_BYTES (CapacityError), so
+    nothing past it is allocated; the first block holds the expected count
+    horizon/mean_step plus six standard deviations. Draw order is fixed
+    (initial flip, jump blocks, arrival flips) so equal seeds give identical
+    paths.
     """
     if horizon < 0:
         raise DomainError(f"horizon must be nonnegative, got {horizon!r}")
     expected = horizon / schedule.mean_step
-    if expected > max_events:
-        raise CapacityError(
-            f"expected event count {expected:.3g} exceeds cap {max_events:.3g}"
-        )
     initial = int(rng.integers(0, 2))
     if horizon == 0:
         times = np.empty(0)
@@ -126,6 +128,7 @@ def sample_renewal_path(
         running = 0.0
         block = max(64, int(expected + 6.0 * math.sqrt(expected + 1.0) + 16))
         while True:
+            check_budget(total + block, "renewal event array", CapacityError)
             jumps = sample_jumps(law, rng, block)
             partial = running + np.cumsum(jumps)
             scaled = schedule.time_scale * partial
@@ -134,8 +137,6 @@ def sample_renewal_path(
             running = float(partial[-1])
             if scaled[-1] > horizon:
                 break
-            if total > max_events:
-                raise CapacityError(f"generated {total} events without passing the horizon")
             block = max(64, block // 4)
         times = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
         times = times[: np.searchsorted(times, horizon, side="right")]

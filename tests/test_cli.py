@@ -1,5 +1,7 @@
 """CLI contract: exit codes, config merging, and artifact layout."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,26 @@ def test_allocation_failure_exit_code(tmp_path, capsys, monkeypatch):
     # a finished scale is kept and written, flagged incomplete
     assert main(["rate", "--n-grid", "4,8", "--reps", "2", "--out", str(tmp_path)]) == 0
     assert _summary_dict(tmp_path / "rate_summary.txt")["complete"] == "false"
+
+@pytest.mark.parametrize(
+    "argv",
+    [["couple", "--engine", "grid", "--n", "256"], ["rate", "--n-grid", "256", "--reps", "2"]],
+    ids=["couple", "rate"],
+)
+def test_grid_past_the_byte_budget_exits_before_allocating(tmp_path, capsys, argv):
+    # the initial n = 256 walk would need about 1.15 GB
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "byte allocation budget" in err
+    assert peak < 50e6
+    assert not any(tmp_path.iterdir())
+
 
 def test_missing_out_dir_fails(tmp_path):
     assert main(["simulate-path", "--n", "10", "--out", str(tmp_path / "absent")]) == 1

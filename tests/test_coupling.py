@@ -5,33 +5,29 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import renewalbm.coupling
-from renewalbm import (
+import renewalbm.errors
+from renewalbm.coupling import (
+    BGK_SHIFT,
     CoupledRealization,
-    DomainError,
     GridPath,
-    InputError,
-    ParameterError,
-    UnsupportedModeError,
     build_coupled_realization,
     decompose_sup,
-    deterministic,
     embedding_diagnostics,
-    ks_uniform,
     sample_embedding_steps,
+    _grid_horizon_index,
     sample_exit_level,
-    scaling_constants,
-    skeleton_identity_error,
     sup_distance,
-    two_point,
-    uniform01,
 )
-from renewalbm.coupling import BGK_SHIFT, _grid_horizon_index
+from renewalbm.errors import BudgetError, DomainError, InputError, ParameterError, UnsupportedModeError
+from renewalbm.experiments import ks_uniform, skeleton_identity_error
+from renewalbm.laws import deterministic, two_point, uniform01
 from renewalbm.streams import ROLE_RATE, derived_rng
+from renewalbm.transport import scaling_constants
 
 LAW = uniform01()
 SCHED10 = scaling_constants(LAW, 2.0, 10)
@@ -226,7 +222,7 @@ def _value_at_sup(real):
 )
 def test_sup_distance_matches_value_at_exactly(points, data, block, n):
     h = 1.0 / points
-    i_max = int(1.0 / h)
+    i_max = int(1.0 / h) + 1
     while i_max * h > 1.0:
         i_max -= 1
     # interior knots: on grid times i * h, anywhere in [0, 1.5], or repeats
@@ -283,3 +279,62 @@ def test_grid_engine_bits_are_pinned():
         dec = decompose_sup(real)
         got = (dec.sup, dec.j1, dec.j2, dec.j3, dec.j4, dec.slack)
         assert got == tuple(float.fromhex(x) for x in literals)
+
+
+def test_grid_horizon_index_reaches_t_equal_1():
+    # at n = 10, h = 5e-6: 1 / h is 199999.99999999997 but 200000 * h == 1
+    real = build_coupled_realization(LAW, SCHED10, derived_rng(3, ROLE_RATE, 10, 0))
+    h = real.grid.step
+    assert h == 5e-6 and 200000 * h == 1.0
+    assert _grid_horizon_index(real.grid) == 200000
+    t = np.arange(200001) * h
+    want = float(np.abs(real.value_at(t) - real.grid.values[:200001]).max())
+    assert sup_distance(real) == want
+
+
+@settings(max_examples=500, deadline=None)
+@given(h=st.floats(1e-9, 1.0))
+@example(h=5e-6)
+@example(h=1.0)
+def test_grid_horizon_index_is_last_grid_time_at_or_before_1(h):
+    # a zero-stride walk: the index needs only the step and the length
+    walk = np.broadcast_to(0.0, (int(1.0 / h) + 3,))
+    i = _grid_horizon_index(GridPath(step=h, values=walk, max_increment=0.0))
+    assert i * h <= 1.0 < (i + 1) * h
+
+
+class _Refused(Exception):
+    pass
+
+
+def _initial_walk_points(monkeypatch, n):
+    """Points of the initial grid walk at scale n, stopped before allocating."""
+    asked = []
+
+    def record(points, what, *args):
+        asked.append(points)
+        raise _Refused
+
+    monkeypatch.setattr(renewalbm.coupling, "check_budget", record)
+    with pytest.raises(_Refused):
+        build_coupled_realization(LAW, scaling_constants(LAW, 2.0, n), np.random.default_rng(0))
+    return asked[0]
+
+
+def test_byte_budget_fits_n128_and_refuses_n256(monkeypatch):
+    walk128 = _initial_walk_points(monkeypatch, 128)
+    walk256 = _initial_walk_points(monkeypatch, 256)
+    # the n = 128 walk and its first extension (a quarter more) fit
+    assert 8 * (walk128 + walk128 // 4) <= renewalbm.errors.ALLOC_BUDGET_BYTES
+    assert 8 * walk256 > renewalbm.errors.ALLOC_BUDGET_BYTES
+
+
+def test_grid_walk_extension_is_checked(monkeypatch):
+    # the initial n = 4 walk holds 40625 points; seed 3 runs past its end
+    sched = scaling_constants(LAW, 2.0, 4)
+    monkeypatch.setattr(renewalbm.errors, "ALLOC_BUDGET_BYTES", 8 * 40624)
+    with pytest.raises(BudgetError, match="initial grid walk of 40,625 points"):
+        build_coupled_realization(LAW, sched, np.random.default_rng(3))
+    monkeypatch.setattr(renewalbm.errors, "ALLOC_BUDGET_BYTES", 8 * 40625)
+    with pytest.raises(BudgetError, match="extended grid walk"):
+        build_coupled_realization(LAW, sched, np.random.default_rng(3))

@@ -6,17 +6,7 @@ import numpy as np
 import pytest
 
 import renewalbm.csvio
-from renewalbm import (
-    RateExperimentConfig,
-    RateResult,
-    RateRow,
-    TraceResult,
-    build_coupled_realization,
-    build_transport_path,
-    parse_law,
-    sample_renewal_path,
-    scaling_constants,
-)
+from renewalbm.coupling import build_coupled_realization
 from renewalbm.csvio import (
     format_value,
     write_grid_csv,
@@ -25,6 +15,9 @@ from renewalbm.csvio import (
     write_realization_csv,
     write_trace_csv,
 )
+from renewalbm.experiments import RateExperimentConfig, RateResult, RateRow, TraceResult
+from renewalbm.laws import parse_law
+from renewalbm.transport import build_transport_path, sample_renewal_path, scaling_constants
 
 LAW = parse_law("uniform01")
 

@@ -8,17 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+import renewalbm.errors
 import renewalbm.exit_times
-from renewalbm import (
-    BudgetError,
-    NumericError,
-    ParameterError,
-    first_crossing,
-    grid_exit,
-    invert_unit_cdf,
-    sample_first_exit,
-    unit_exit_cdf,
-)
+from renewalbm.errors import BudgetError, NumericError, ParameterError
 from renewalbm.exit_times import (
     _TABLE_F,
     _UPPER_BRACKET,
@@ -26,6 +18,11 @@ from renewalbm.exit_times import (
     SERIES_TERM_TOL,
     _density_large_t,
     _density_small_t,
+    first_crossing,
+    grid_exit,
+    invert_unit_cdf,
+    sample_first_exit,
+    unit_exit_cdf,
     unit_exit_density,
 )
 
@@ -193,7 +190,7 @@ def test_exact_sampler_scaling():
     rng = np.random.default_rng(13)
     tau1, _ = sample_first_exit(1.0, rng, size=10_000)
     tau2, _ = sample_first_exit(2.0, rng, size=10_000)
-    from renewalbm import ks_two_sample
+    from renewalbm.experiments import ks_two_sample
 
     res = ks_two_sample(tau1, tau2 / 4.0)
     assert res.p_value > 0.01
@@ -206,15 +203,45 @@ def test_sample_first_exit_scalar_form():
     assert tau > 0
 
 
-def test_grid_exit_walk_invariants():
-    rng = np.random.default_rng(19)
-    res = grid_exit(1.0, 1e-3, rng)
-    assert res.values[0] == 0.0
-    assert abs(res.values[-1]) >= 1.0
-    # only the final entry may sit beyond the barrier
-    assert np.all(np.abs(res.values[:-1]) < 1.0)
-    assert res.sign == (1 if res.values[-1] > 0 else -1)
-    assert res.exit_time == pytest.approx((len(res.values) - 1) * 1e-3, rel=1e-12)
+def grid_exit_with_walk(a, h, rng, *, max_steps=10**9):
+    """The walk-keeping grid_exit the current one replaced, kept verbatim as
+    its reference: (exit_time, sign, walk), walk[0] = 0 and walk[-1] the
+    first value at or beyond +/-a."""
+    sqrt_h = math.sqrt(h)
+    block = min(max_steps, int(1.25 * a * a / h) + 64)
+    blocks: list[np.ndarray] = []
+    last = 0.0
+    used = 0
+    while used < max_steps:
+        m = min(block, max_steps - used)
+        w = last + np.cumsum(rng.standard_normal(m) * sqrt_h)
+        hit = np.abs(w) >= a
+        j = int(np.argmax(hit))
+        if hit[j]:
+            blocks.append(w[: j + 1])
+            used += j + 1
+            values = np.concatenate([np.zeros(1), *blocks])
+            return used * h, 1 if w[j] > 0 else -1, values
+        blocks.append(w)
+        used += m
+        last = float(w[-1])
+        block = max(1024, block // 2)
+    raise BudgetError(f"no exit within {max_steps} steps (a={a!r}, h={h!r})")
+
+
+@pytest.mark.parametrize("a, h", [(1.0, 1e-3), (1.0, 1e-4), (0.3, 1e-4), (2.0, 1e-3), (0.05, 2.5e-5)])
+def test_grid_exit_matches_walk_keeping_reference(a, h):
+    # (0.05, 2.5e-5) starts below the 1024-point floor, so its blocks grow
+    for seed in range(8):
+        ref_rng = np.random.default_rng(seed)
+        ref_time, ref_sign, walk = grid_exit_with_walk(a, h, ref_rng)
+        # the reference's own walk invariants: only the final entry is past +/-a
+        assert walk[0] == 0.0 and abs(walk[-1]) >= a
+        assert np.all(np.abs(walk[:-1]) < a)
+        assert ref_time == (len(walk) - 1) * h
+        rng = np.random.default_rng(seed)
+        assert grid_exit(a, h, rng) == (ref_time, ref_sign)
+        assert rng.random() == ref_rng.random()  # the same draws were consumed
 
 
 def test_grid_exit_mean_and_sign():
@@ -223,19 +250,26 @@ def test_grid_exit_mean_and_sign():
     times = np.empty(n)
     signs = np.empty(n)
     for i in range(n):
-        res = grid_exit(1.0, 1e-4, rng)
-        times[i] = res.exit_time
-        signs[i] = res.sign
+        times[i], signs[i] = grid_exit(1.0, 1e-4, rng)
     se = times.std(ddof=1) / math.sqrt(n)
     # discrete walk exits late by O(sqrt(h)) per side; allow bias plus noise
     assert abs(times.mean() - 1.0) < 0.01 + 3 * se
     assert abs(signs.mean()) < 3.0 / math.sqrt(n)
 
 
-def test_grid_exit_budget():
-    rng = np.random.default_rng(41)
-    with pytest.raises(BudgetError):
-        grid_exit(1.0, 1e-4, rng, max_steps=10)
+def test_grid_exit_budget(monkeypatch):
+    # the first block at a = 1, h = 1e-4 holds 12564 points
+    monkeypatch.setattr(renewalbm.errors, "ALLOC_BUDGET_BYTES", 8 * 12563)
+    with pytest.raises(BudgetError, match="allocation budget"):
+        grid_exit(1.0, 1e-4, np.random.default_rng(41))
+    monkeypatch.setattr(renewalbm.errors, "ALLOC_BUDGET_BYTES", 8 * 12564)
+    assert grid_exit(1.0, 1e-4, np.random.default_rng(41))[0] > 0
+    monkeypatch.undo()
+    # a block of 1.25e9 points would need 10 GB; nothing is drawn
+    rng = np.random.default_rng(43)
+    with pytest.raises(BudgetError, match="allocation budget"):
+        grid_exit(1.0, 1e-9, rng)
+    assert rng.random() == np.random.default_rng(43).random()
 
 
 def test_first_crossing_examples():

@@ -5,27 +5,24 @@ import math
 import numpy as np
 import pytest
 
+import renewalbm.errors
 import renewalbm.experiments
-from renewalbm import (
-    ROLE_TRACE,
-    BudgetError,
-    InputError,
-    RateConditionError,
+from renewalbm.coupling import build_coupled_realization, sup_distance
+from renewalbm.errors import BudgetError, InputError, RateConditionError
+from renewalbm.experiments import (
     RateExperimentConfig,
     as_trace,
-    build_coupled_realization,
     covariance_check,
-    derived_rng,
     fit_rate,
     ks_normal,
     ks_two_sample,
     ks_uniform,
     rate_scale,
     run_rate_experiment,
-    scaling_constants,
-    sup_distance,
-    uniform01,
 )
+from renewalbm.laws import uniform01
+from renewalbm.streams import ROLE_TRACE, derived_rng
+from renewalbm.transport import scaling_constants
 
 LAW = uniform01()
 
@@ -188,12 +185,14 @@ def test_rate_experiment_fixed_alpha_and_single_scale():
     assert math.isnan(result.slope) and math.isnan(result.r_squared)
 
 
-def test_rate_experiment_budget_paths():
+def test_rate_experiment_budget_paths(monkeypatch):
     # too small for even the first scale's walk
-    with pytest.raises(BudgetError):
-        run_rate_experiment(_small_cfg(max_grid_steps=100))
+    monkeypatch.setattr(renewalbm.errors, "ALLOC_BUDGET_BYTES", 8 * 100)
+    with pytest.raises(BudgetError, match="allocation budget"):
+        run_rate_experiment(_small_cfg())
     # enough for n=4 but not the n=8 walk: partial result, honestly flagged
-    result = run_rate_experiment(_small_cfg(max_grid_steps=80_000))
+    monkeypatch.setattr(renewalbm.errors, "ALLOC_BUDGET_BYTES", 8 * 80_000)
+    result = run_rate_experiment(_small_cfg())
     assert not result.complete
     assert [row.n for row in result.rows] == [4]
     assert math.isnan(result.slope)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from renewalbm import (
-    ParameterError,
+from renewalbm.errors import ParameterError
+from renewalbm.laws import (
     deterministic,
     exponential,
     has_zero_atom,

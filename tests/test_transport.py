@@ -5,21 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from renewalbm import (
+import renewalbm.errors
+from renewalbm.errors import (
     CapacityError,
     DomainError,
     InputError,
     ParameterError,
     RateConditionError,
+)
+from renewalbm.laws import deterministic, exponential, uniform01
+from renewalbm.transport import (
     RenewalPath,
     ScalingSchedule,
     build_transport_path,
-    deterministic,
-    exponential,
     sample_renewal_path,
     scaling_constants,
     terminal_samples,
-    uniform01,
 )
 
 
@@ -81,10 +82,18 @@ def test_zero_and_negative_horizon():
         sample_renewal_path(uniform01(), sched, -1.0, np.random.default_rng(1))
 
 
-def test_capacity_cap():
+def test_capacity_cap(monkeypatch):
     sched = scaling_constants(uniform01(), 2.0, 10)
-    with pytest.raises(CapacityError):
-        sample_renewal_path(uniform01(), sched, 1.0, np.random.default_rng(2), max_events=50)
+    monkeypatch.setattr(renewalbm.errors, "ALLOC_BUDGET_BYTES", 8 * 50)
+    with pytest.raises(CapacityError, match="allocation budget"):
+        sample_renewal_path(uniform01(), sched, 1.0, np.random.default_rng(2))
+    # 200 events expected at n = 10, but the first block draws 301
+    monkeypatch.setattr(renewalbm.errors, "ALLOC_BUDGET_BYTES", 8 * 300)
+    with pytest.raises(CapacityError, match="renewal event array of 301 points"):
+        sample_renewal_path(uniform01(), sched, 1.0, np.random.default_rng(2))
+    monkeypatch.setattr(renewalbm.errors, "ALLOC_BUDGET_BYTES", 8 * 301)
+    path = sample_renewal_path(uniform01(), sched, 1.0, np.random.default_rng(2))
+    assert 150 < len(path.times) < 250
 
 
 def test_renewal_count_mean():
