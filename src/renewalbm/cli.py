@@ -17,8 +17,10 @@ from . import csvio
 from ._version import __version__
 from .coupling import (
     GRID_STEP_DIVISOR,
+    EmbeddingSums,
     build_coupled_realization,
     embedding_diagnostics,
+    exact_blocks,
     sup_distance,
 )
 from .errors import BudgetError, CapacityError, UsageError
@@ -255,21 +257,24 @@ def _cmd_couple(args) -> int:
     law = parse_law(args.law)
     sched = scaling_constants(law, args.k, args.n)
     rng = derived_rng(args.seed, ROLE_COUPLE, args.n, 0)
+    out = Path(args.out) / "realization.csv"
+    items = _law_items(law, args)
     if args.engine == "grid":
         real = build_coupled_realization(
             law, sched, rng, engine="grid", grid_step=sched.mean_step / args.grid_step_divisor
         )
+        csvio.write_realization_csv(out, real, args.seed)
+        items.update(n=args.n, engine=args.engine, steps=real.n_steps, sup=sup_distance(real, "grid"))
+        diag = embedding_diagnostics(real)
     else:
         if args.export_grid_path:
             raise UsageError("--export-grid-path needs --engine grid")
-        real = build_coupled_realization(law, sched, rng, engine="exact")
-    out = Path(args.out) / "realization.csv"
-    csvio.write_realization_csv(out, real, args.seed)
-    items = _law_items(law, args)
-    items.update(n=args.n, engine=args.engine, steps=real.n_steps)
-    if args.engine == "grid":
-        items["sup"] = sup_distance(real, "grid")
-    diag = embedding_diagnostics(real)
+        # Stream the blocks into the file, so memory does not grow with n.
+        sums = EmbeddingSums()
+        blocks = sums.tally(exact_blocks(law, sched, rng))
+        csvio.write_realization_blocks(out, law, sched, "exact", args.seed, blocks)
+        items.update(n=args.n, engine=args.engine, steps=sums.steps)
+        diag = sums.diagnostics()
     items.update(
         mean_exit_time=diag["mean_exit_time"],
         mean_duration=diag["mean_duration"],

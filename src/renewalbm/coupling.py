@@ -9,6 +9,12 @@ the transport path is the piecewise-linear interpolation of (transport
 clock, skeleton) and the Brownian path hits the same skeleton at its own
 clock times.
 
+Exact engine: exact_blocks draws, inverts and reduces the steps in blocks of
+at most EXACT_BLOCK, carrying the clocks and the skeleton from block to
+block, and stops once both clocks have passed 1 and two spare segments
+follow coverage. Its memory does not grow with n; build_coupled_realization
+concatenates the same blocks into one CoupledRealization.
+
 Exit detection (grid engine): a walk observed only at grid points passes a
 barrier by about 0.5826 * sqrt(h) before the scan sees it, so scanning for
 xi itself records every exit late, and over [0, 1] the Brownian clock would
@@ -49,8 +55,12 @@ GRID_STEP_DIVISOR = 1000
 # Glasserman & Kou, Math. Finance 1997). Scanning for level - shift * sqrt(h)
 # lands detected exits on the level instead of late.
 BGK_SHIFT = 0.5825971579390107
-# Grid points per block in sup_distance: a block's temporaries stay in cache.
+# Grid points per block in sup_distance and in _build_grid's initial walk:
+# a block's temporaries stay in cache.
 SUP_BLOCK = 1 << 16
+# Embedding steps per block of the exact engine: its memory does not grow
+# with n.
+EXACT_BLOCK = 1 << 16
 
 
 @dataclass(eq=False)
@@ -60,6 +70,30 @@ class GridPath:
     step: float
     values: np.ndarray
     max_increment: float
+
+
+@dataclass(eq=False)
+class StepBlock:
+    """Embedding steps start + 1 .. start + n_steps: one block of the exact
+    engine, or all steps of a grid build.
+
+    levels, signs, exit_times and durations are per step; path_times,
+    bm_times and skeleton are the clocks and the skeleton after each step
+    (the leading zero of a CoupledRealization belongs to no block).
+    """
+
+    start: int
+    levels: np.ndarray
+    signs: np.ndarray
+    exit_times: np.ndarray
+    durations: np.ndarray
+    path_times: np.ndarray
+    bm_times: np.ndarray
+    skeleton: np.ndarray
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.levels)
 
 
 @dataclass(eq=False)
@@ -132,21 +166,30 @@ def build_coupled_realization(
     engine: str = "grid",
     grid_step: float | None = None,
 ) -> CoupledRealization:
-    """Run the embedding until the transport clock passes 1.
+    """Run the embedding until the transport clock passes 1 (the exact
+    engine: until both clocks have).
 
-    engine="exact" inverts the unit exit distribution per step and realizes
-    no Brownian values between skeleton points. engine="grid" advances one
-    shared N(0, h) walk (h defaults to mean_step/1000) and detects each exit
-    as the first grid point past xi - BGK_SHIFT * sqrt(h); the walk is kept,
-    extended past every time the diagnostics read. Every walk array is checked
-    against errors.ALLOC_BUDGET_BYTES before it is allocated (BudgetError).
+    engine="exact" concatenates the blocks of exact_blocks, which invert the
+    unit exit distribution per step and realize no Brownian values between
+    skeleton points; the running step count is checked against
+    errors.ALLOC_BUDGET_BYTES before the blocks are concatenated. engine="grid"
+    advances one shared N(0, h) walk (h defaults to mean_step/1000) and detects
+    each exit as the first grid point past xi - BGK_SHIFT * sqrt(h); the walk
+    is kept, extended past every time the diagnostics read. Every walk array is
+    checked against the budget before it is allocated. Both raise BudgetError.
     """
     if engine not in ("exact", "grid"):
         raise ParameterError(f"unknown engine {engine!r}")
     if engine == "exact":
         if grid_step is not None:
             raise ParameterError("grid_step only applies to the grid engine")
-        return _build_exact(law, schedule, rng)
+        blocks = []
+        steps = 0
+        for block in exact_blocks(law, schedule, rng):
+            steps += block.n_steps
+            check_budget(steps + 1, "exact realization array")
+            blocks.append(block)
+        return _assemble(law, schedule, "exact", blocks, None, None)
     h = schedule.mean_step / GRID_STEP_DIVISOR if grid_step is None else float(grid_step)
     if not 0 < h <= schedule.mean_step:
         raise ParameterError(f"grid step {h!r} must lie in (0, mean_step]")
@@ -164,7 +207,7 @@ def sample_embedding_steps(law, schedule, steps, rng):
     """Draw a fixed number of independent embedding steps, no path built.
 
     Returns (levels, signs, exit_times, durations) with the same per-step
-    marginals and draw order as the exact-engine builder; meant for marginal
+    marginals and draw order as one exact-engine block; meant for marginal
     checks that want many more steps than one covering realization holds.
     """
     if steps < 1:
@@ -174,34 +217,51 @@ def sample_embedding_steps(law, schedule, steps, rng):
     return levels, signs, exit_times, schedule.normalizer * levels
 
 
-def _build_exact(law, schedule, rng):
+def exact_blocks(law, schedule, rng):
+    """Yield the exact engine's steps as StepBlocks of at most EXACT_BLOCK steps.
+
+    Each block draws its levels, uniforms and signs in that order, inverts the
+    unit exit distribution for its exit times, and carries the clocks and the
+    skeleton over from the block before. The first target + 4 sqrt(target) + 16
+    steps (target = floor(1 / mean_step) + 2) are drawn first, in blocks; after
+    them every block has max(64, target // 4) steps, capped likewise. The
+    stream stops at the end of the first block where Gamma_M > 1,
+    Lambda_M >= 1 and M >= max(target, first_cover + 2): both clocks have
+    passed 1 and two spare segments follow coverage. A block depends only on
+    its own draws and the carry, so the steps do not depend on how a consumer
+    holds them.
+    """
     target = _target_steps(schedule)
-    batch = target + int(4.0 * math.sqrt(target)) + 16
-    levels_parts, sigma_parts, sign_parts = [], [], []
+    first = target + int(4.0 * math.sqrt(target)) + 16
     count = 0
-    clock = 0.0
     first_cover = None
+    carry = None
     while True:
-        lv, u, sg = _draw_batches(law, schedule, rng, batch)
-        sigma_parts.append(lv * lv * invert_unit_cdf(u))
-        levels_parts.append(lv)
-        sign_parts.append(sg)
-        durations = schedule.normalizer * lv
-        clocks = clock + np.cumsum(durations)
+        size = min(EXACT_BLOCK, first - count if count < first else max(64, target // 4))
+        block = _exact_block(law, schedule, rng, count, size, carry)
+        count += size
+        carry = (block.path_times[-1], block.bm_times[-1], block.skeleton[-1])
         if first_cover is None:
-            hit = clocks >= 1.0
-            j = int(np.argmax(hit))
-            if hit[j]:
-                first_cover = count + j + 1
-        clock = float(clocks[-1])
-        count += batch
-        if first_cover is not None and count >= max(target, first_cover + 2):
-            break
-        batch = max(64, target // 4)
-    levels = np.concatenate(levels_parts)
-    signs = np.concatenate(sign_parts).astype(np.int64)
-    sigmas = np.concatenate(sigma_parts)
-    return _assemble(law, schedule, "exact", levels, signs, sigmas, None, None)
+            j = int(np.searchsorted(block.path_times, 1.0, side="left"))
+            if j < size:
+                first_cover = block.start + j + 1
+        yield block
+        # Not held while the next block is drawn: a consumer that lets go of
+        # each block in turn holds one block at a time.
+        del block
+        if (
+            first_cover is not None
+            and carry[0] > 1.0
+            and carry[1] >= 1.0
+            and count >= max(target, first_cover + 2)
+        ):
+            return
+
+
+def _exact_block(law, schedule, rng, start, size, carry):
+    levels, u, signs = _draw_batches(law, schedule, rng, size)
+    sigmas = levels * levels * invert_unit_cdf(u)
+    return _step_block(schedule, start, levels, signs, sigmas, carry)
 
 
 def _build_grid(law, schedule, rng, h):
@@ -210,13 +270,19 @@ def _build_grid(law, schedule, rng, h):
     est = int(1.10 * max(1.0, (target + 2) * schedule.mean_step) / h) + 1024
     check_budget(est + 1, "initial grid walk")
 
-    inc = rng.standard_normal(est)
-    inc *= sqrt_h
+    # Drawn and summed a block at a time, with the walk so far carried into
+    # each block's first increment: the same draws and bits as one cumsum of
+    # all increments, without holding them all.
     walk = np.empty(est + 1)
     walk[0] = 0.0
-    np.cumsum(inc, out=walk[1:])
-    max_inc = float(max(inc.max(), -inc.min()))
-    del inc
+    max_inc = 0.0
+    for a in range(0, est, SUP_BLOCK):
+        inc = rng.standard_normal(min(SUP_BLOCK, est - a))
+        inc *= sqrt_h
+        max_inc = max(max_inc, float(inc.max()), float(-inc.min()))
+        if a:
+            inc[0] += walk[a]
+        np.cumsum(inc, out=walk[a + 1 : a + 1 + len(inc)])
 
     def extend(extra):
         nonlocal walk, max_inc
@@ -266,7 +332,7 @@ def _build_grid(law, schedule, rng, h):
     sigmas = step_counts * h
 
     real = _assemble(
-        law, schedule, "grid", levels, signs_arr, sigmas,
+        law, schedule, "grid", [_step_block(schedule, 0, levels, signs_arr, sigmas, None)],
         GridPath(step=h, values=walk, max_increment=max_inc), bm_index,
     )
     # Extend the walk past everything the diagnostics read: grid times up to
@@ -281,25 +347,52 @@ def _build_grid(law, schedule, rng, h):
     return real
 
 
-def _assemble(law, schedule, engine, levels, signs, sigmas, grid, bm_index):
+def _running_sum(steps, carry):
+    # In place. np.cumsum adds left to right, so adding the carry into a
+    # block's first step gives the bits one cumsum over all blocks would. The
+    # first block adds nothing, as that cumsum does: a leading -0.0 stays.
+    if carry is not None:
+        steps[0] += carry
+    return np.cumsum(steps, out=steps)
+
+
+def _step_block(schedule, start, levels, signs, sigmas, carry):
+    # carry: the last (Gamma, Lambda, skeleton) of the block before, or None.
+    gamma, lam, skel = (None, None, None) if carry is None else carry
     durations = schedule.normalizer * levels
+    return StepBlock(
+        start=start,
+        levels=levels,
+        signs=signs,
+        exit_times=sigmas,
+        durations=durations,
+        path_times=_running_sum(durations.copy(), gamma),
+        bm_times=_running_sum(sigmas.copy(), lam),
+        skeleton=_running_sum(signs * levels, skel),
+    )
+
+
+def _assemble(law, schedule, engine, blocks, grid, bm_index):
     zero = np.zeros(1)
-    path_times = np.concatenate([zero, np.cumsum(durations)])
-    # Recompute coverage on the final cumulative array: the builders' running
-    # clocks can differ from it by an ulp, and every index below must refer
-    # to this array. The builders leave two spare segments past coverage.
+
+    def joined(name, lead=()):
+        return np.concatenate([*lead, *(getattr(b, name) for b in blocks)])
+
+    path_times = joined("path_times", [zero])
+    # The builders leave two spare segments past coverage; every index below
+    # refers to this array.
     first_cover = int(np.searchsorted(path_times, 1.0, side="left"))
     return CoupledRealization(
         law=law,
         schedule=schedule,
         engine=engine,
-        levels=levels,
-        signs=signs,
-        exit_times=sigmas,
-        durations=durations,
+        levels=joined("levels"),
+        signs=joined("signs"),
+        exit_times=joined("exit_times"),
+        durations=joined("durations"),
         path_times=path_times,
-        bm_times=np.concatenate([zero, np.cumsum(sigmas)]),
-        skeleton=np.concatenate([zero, np.cumsum(signs * levels)]),
+        bm_times=joined("bm_times", [zero]),
+        skeleton=joined("skeleton", [zero]),
         first_cover=first_cover,
         grid=grid,
         bm_index=bm_index,
@@ -330,24 +423,23 @@ def sup_distance(real: CoupledRealization, mode: str = "grid") -> float:
     before 1 and evaluates there the expression value_at uses,
     skeleton + sign * (t - Gamma) / normalizer - w. Rather than search each
     of the N grid times among the M transport knots (N log M, then three
-    gathers at N indices), it searches the M - 1 interior knots among the
-    sorted grid times (M log N): segment m owns the grid times in
+    gathers at N indices), it finds for each of the M - 1 interior knots the
+    first grid index at or past it: segment m owns the grid times in
     [Gamma_m, Gamma_{m+1}), which is the segment value_at picks, also for a
-    knot on a grid time and for a zero-length segment. The knot arrays are
-    spread over the grid with np.repeat, one block of SUP_BLOCK points at a
-    time, so temporaries stay block-sized and the sup equals value_at's to
-    the last bit.
+    knot on a grid time and for a zero-length segment. The grid times and
+    the knot arrays spread over them with np.repeat are built one block of
+    SUP_BLOCK points at a time, so no temporary grows with the grid and the
+    sup equals value_at's to the last bit.
     """
     grid = _require_grid(real)
     if mode != "grid":
         raise UnsupportedModeError(f"unknown mode {mode!r}")
+    h = grid.step
     size = _grid_horizon_index(grid) + 1
-    t = np.arange(size, dtype=float)
-    t *= grid.step
     # starts[m] is the first grid index of segment m; the builders leave
     # Gamma_M > 1 >= t, so the last segment runs to the horizon.
     m = real.n_steps
-    starts = np.concatenate([[0], np.searchsorted(t, real.path_times[1:m], side="left")])
+    starts = np.concatenate([[0], _first_grid_index(real.path_times[1:m], h, size)])
     w = grid.values
     norm = real.schedule.normalizer
     best = 0.0
@@ -356,13 +448,32 @@ def sup_distance(real: CoupledRealization, mode: str = "grid") -> float:
         lo = int(np.searchsorted(starts, a, side="right")) - 1
         hi = int(np.searchsorted(starts, b, side="left"))
         counts = np.diff(np.append(np.clip(starts[lo:hi], a, b), b))
-        gap = t[a:b] - np.repeat(real.path_times[lo:hi], counts)
+        gap = np.arange(a, b, dtype=float)
+        gap *= h
+        gap -= np.repeat(real.path_times[lo:hi], counts)
         gap *= np.repeat(real.signs[lo:hi], counts)
         gap /= norm
         gap += np.repeat(real.skeleton[lo:hi], counts)
         gap -= w[a:b]
         best = max(best, float(np.abs(gap, out=gap).max()))
     return best
+
+
+def _first_grid_index(x, h, size):
+    # The first i in [0, size] with i * h >= x, the index searchsorted would
+    # give in the grid times i * h, found from ceil(x / h) and corrected by
+    # whole steps where that quotient rounded.
+    i = np.minimum(np.ceil(np.asarray(x) / h), size).astype(np.int64)
+    while True:
+        down = (i > 0) & ((i - 1) * h >= x)
+        if not down.any():
+            break
+        i -= down
+    while True:
+        up = (i < size) & (i * h < x)
+        if not up.any():
+            return i
+        i += up
 
 
 @dataclass(frozen=True)
@@ -442,6 +553,48 @@ def decompose_sup(real: CoupledRealization) -> SupDecomposition:
     return dec
 
 
+@dataclass
+class EmbeddingSums:
+    """Running sums behind embedding_diagnostics, added one block at a time.
+
+    add takes anything with levels, exit_times and durations arrays: a
+    StepBlock or a whole CoupledRealization. For one whole realization the
+    means are those of np.mean, bit for bit.
+    """
+
+    steps: int = 0
+    exit_time: float = 0.0
+    duration: float = 0.0
+    exit_time_sq: float = 0.0
+    level_4: float = 0.0
+
+    def add(self, part) -> None:
+        sig = part.exit_times
+        self.steps += len(sig)
+        self.exit_time += float(sig.sum())
+        self.duration += float(part.durations.sum())
+        self.exit_time_sq += float((sig**2).sum())
+        self.level_4 += float((part.levels**4).sum())
+
+    def tally(self, blocks):
+        """Yield blocks unchanged, adding each one first."""
+        for block in blocks:
+            self.add(block)
+            yield block
+            del block  # not held while the next block is drawn
+
+    def diagnostics(self) -> dict[str, float]:
+        """The fields of embedding_diagnostics."""
+        n = self.steps
+        mean_x4 = self.level_4 / n
+        return {
+            "steps": float(n),
+            "mean_exit_time": self.exit_time / n,
+            "mean_duration": self.duration / n,
+            "second_moment_ratio": self.exit_time_sq / n / mean_x4 if mean_x4 > 0 else float("nan"),
+        }
+
+
 def embedding_diagnostics(real: CoupledRealization) -> dict[str, float]:
     """Empirical moment summary of the embedding steps.
 
@@ -449,12 +602,6 @@ def embedding_diagnostics(real: CoupledRealization) -> dict[str, float]:
     counterpart of the universal constant bounding E(sigma^2) by E(xi^4);
     it is reported, never used in any computation.
     """
-    sig = real.exit_times
-    lv = real.levels
-    mean_x4 = float(np.mean(lv**4))
-    return {
-        "steps": float(real.n_steps),
-        "mean_exit_time": float(sig.mean()),
-        "mean_duration": float(real.durations.mean()),
-        "second_moment_ratio": float(np.mean(sig**2) / mean_x4) if mean_x4 > 0 else float("nan"),
-    }
+    sums = EmbeddingSums()
+    sums.add(real)
+    return sums.diagnostics()

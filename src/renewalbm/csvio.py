@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._version import __version__
+from .coupling import StepBlock
 from .laws import law_label
 
 ROW_BLOCK = 8192  # rows rendered per write; bounds the strings held at once
@@ -73,26 +74,29 @@ def write_path_csv(file, tp, law, schedule, seed) -> None:
 
 def write_realization_csv(file, real, seed) -> None:
     """Coupling skeleton as m,Gamma,Lambda,skeleton_value rows, m = 0..steps."""
-    sched = real.schedule
+    steps = StepBlock(
+        0, real.levels, real.signs, real.exit_times, real.durations,
+        real.path_times[1:], real.bm_times[1:], real.skeleton[1:],
+    )
+    write_realization_blocks(file, real.law, real.schedule, real.engine, seed, [steps])
+
+
+def write_realization_blocks(file, law, schedule, engine, seed, blocks) -> None:
+    """Skeleton rows from a stream of coupling.StepBlock, one block held at a
+    time: the m = 0 row of zeros, then each block's steps in turn."""
     with _open(file) as fh:
         fh.write(f"# renewalbm {__version__}\n")
         fh.write(
             "# config "
-            + _kv(
-                {
-                    "law": law_label(real.law),
-                    "k": sched.k,
-                    "n": sched.n,
-                    "engine": real.engine,
-                    "seed": seed,
-                }
-            )
+            + _kv({"law": law_label(law), "k": schedule.k, "n": schedule.n, "engine": engine, "seed": seed})
             + "\n"
         )
         fh.write("m,Gamma,Lambda,skeleton_value\n")
-        _write_columns(
-            fh, np.arange(real.n_steps + 1), real.path_times, real.bm_times, real.skeleton
-        )
+        _write_columns(fh, [0], [0.0], [0.0], [0.0])
+        for b in blocks:
+            m = np.arange(b.start + 1, b.start + b.n_steps + 1)
+            _write_columns(fh, m, b.path_times, b.bm_times, b.skeleton)
+            del b, m  # not held while the next block is drawn
 
 
 def write_grid_csv(file, real, seed) -> None:

@@ -6,13 +6,18 @@ required. Two complementary alternating series cover the two regimes:
 
 * t >= 0.05: spectral series for the survival probability,
       P(tau > t) = sum_j (-1)**j * (4/pi) / (2j+1) * exp(-(2j+1)**2 * pi**2 * t / 8).
-  Terms decay monotonically there, so truncating when the next term drops
-  below 1e-12 bounds the error by 1e-12.
+  Terms decay monotonically there, so stopping after the first term below
+  1e-12 bounds the error by that term's successor.
 
 * t < 0.05: Gaussian image series for the distribution function itself,
       P(tau <= t) = 4 * [Q(1/sqrt(t)) - Q(3/sqrt(t)) + Q(5/sqrt(t)) - ...]
   with Q the standard normal upper tail. Computing F directly avoids the
   catastrophic cancellation of 1 - (spectral sum) when F is tiny.
+
+Each of the four series (distribution and density, both regimes) stops per
+element, after the first term below the tolerance at that element's own t:
+a value does not depend on the other values of its call, so a draw does not
+depend on its block.
 
 Sampling inverts F to absolute tolerance 1e-10 in probability: a start
 interpolated in a forward table of F, built once at import, then Newton steps
@@ -40,69 +45,103 @@ SERIES_SWITCH_T = 0.05
 SERIES_TERM_TOL = 1e-12
 _PI2_OVER_8 = math.pi * math.pi / 8.0
 _UPPER_BRACKET = 40.0  # survival(40) ~ 5e-22, below the resolution of float-uniform draws
+_SPECTRAL_TERMS = 400  # t = 0.05 needs 12
 
 
 def _cdf_small_t(t: np.ndarray) -> np.ndarray:
     # F(t) = 4 * sum_j [Q((4j+1)/sqrt(t)) - Q((4j+3)/sqrt(t))], terms positive
     # and strictly decreasing, so the alternating-series error bound applies
-    # to the paired form as well.
+    # to the paired form as well. An element stops once its own term is below
+    # the tolerance.
     root = 1.0 / np.sqrt(t)
     total = np.zeros_like(t)
+    idx = np.arange(t.size)
     for j in range(64):
-        term = ndtr(-(4 * j + 1) * root) - ndtr(-(4 * j + 3) * root)
-        total += term
-        if float(term.max(initial=0.0)) < SERIES_TERM_TOL / 4.0:
+        r = root[idx]
+        term = ndtr(-(4 * j + 1) * r) - ndtr(-(4 * j + 3) * r)
+        total[idx] += term
+        idx = idx[term >= SERIES_TERM_TOL / 4.0]
+        if not idx.size:
             return 4.0 * total
     raise NumericError("image series for the exit distribution did not converge")
 
 
-def _cdf_large_t(t: np.ndarray) -> np.ndarray:
-    coeff = 4.0 / math.pi
-    survival = np.zeros_like(t)
+def _spectral_thresholds(weight) -> np.ndarray:
+    # Term j of a spectral series, weight(m) * exp(-m**2 * pi**2 * t / 8) with
+    # m = 2j + 1, falls below SERIES_TERM_TOL past t = log(weight(m) / tol) /
+    # (m**2 pi**2 / 8). Term j is summed up to the threshold of term j - 1,
+    # so the first term below the tolerance is the last one summed; term 0
+    # always is.
+    m = 2.0 * np.arange(_SPECTRAL_TERMS - 1) + 1.0
+    below = np.log(weight(m) / SERIES_TERM_TOL) / (m * m * _PI2_OVER_8)
+    needs = np.concatenate([[np.inf], below])
+    needs.flags.writeable = False
+    return needs
+
+
+def _spectral_sum(t: np.ndarray, weight, needs: np.ndarray) -> np.ndarray:
+    # sum_j (-1)**j weight(m) exp(-m**2 * pi**2 * t / 8), m = 2j + 1. Terms
+    # decrease in j, and each element stops after the first term below the
+    # tolerance at its own t, so its value does not depend on its neighbours.
+    # The leading terms that every element needs are summed over the whole
+    # array, the rest over the elements that still need them.
+    n_whole = int(np.count_nonzero(needs >= t.max(initial=np.inf)))
+    total = np.zeros_like(t)
+    idx = np.arange(t.size)
     sign = 1.0
-    for j in range(400):
+    for j in range(_SPECTRAL_TERMS):
         m = 2 * j + 1
-        term = (coeff / m) * np.exp(-(m * m) * _PI2_OVER_8 * t)
-        survival += sign * term
+        if j < n_whole:
+            total += sign * weight(m) * np.exp(-(m * m) * _PI2_OVER_8 * t)
+        else:
+            idx = idx[t[idx] <= needs[j]]
+            if not idx.size:
+                return total
+            total[idx] += sign * weight(m) * np.exp(-(m * m) * _PI2_OVER_8 * t[idx])
         sign = -sign
-        m_next = m + 2
-        next_max = (coeff / m_next) * math.exp(-(m_next * m_next) * _PI2_OVER_8 * float(t.min()))
-        if next_max < SERIES_TERM_TOL:
-            return np.clip(1.0 - survival, 0.0, 1.0)
-    raise NumericError("spectral series for the exit distribution did not converge")
+    raise NumericError("spectral series for the exit law did not converge")
+
+
+def _survival_weight(m):
+    return (4.0 / math.pi) / m
+
+
+def _density_weight(m):
+    return (math.pi / 2.0) * m
+
+
+_SURVIVAL_NEEDS = _spectral_thresholds(_survival_weight)
+_DENSITY_NEEDS = _spectral_thresholds(_density_weight)
+
+
+def _cdf_large_t(t: np.ndarray) -> np.ndarray:
+    # P(tau > t) = sum_j (-1)**j (4/pi) / (2j+1) exp(-(2j+1)**2 * pi**2 * t / 8)
+    return np.clip(1.0 - _spectral_sum(t, _survival_weight, _SURVIVAL_NEEDS), 0.0, 1.0)
 
 
 def _density_small_t(t: np.ndarray) -> np.ndarray:
     # f(t) = 2 t**-1.5 * sum_j (-1)**j (2j+1) phi((2j+1)/sqrt(t)), the image
-    # series differentiated term by term; terms strictly decrease in j.
+    # series differentiated term by term; terms strictly decrease in j, and an
+    # element stops once its own term is below the tolerance.
     log_scale = math.log(2.0 / math.sqrt(2.0 * math.pi)) - 1.5 * np.log(t)
     half_inv = 0.5 / t
     total = np.zeros_like(t)
+    idx = np.arange(t.size)
     sign = 1.0
     for j in range(64):
         m = 2 * j + 1
-        term = m * np.exp(log_scale - (m * m) * half_inv)
-        total += sign * term
+        term = m * np.exp(log_scale[idx] - (m * m) * half_inv[idx])
+        total[idx] += sign * term
         sign = -sign
-        if float(term.max(initial=0.0)) < SERIES_TERM_TOL:
+        idx = idx[term >= SERIES_TERM_TOL]
+        if not idx.size:
             return total
     raise NumericError("image series for the exit density did not converge")
 
 
 def _density_large_t(t: np.ndarray) -> np.ndarray:
     # f(t) = (pi/2) * sum_j (-1)**j (2j+1) exp(-(2j+1)**2 * pi**2 * t / 8)
-    coeff = math.pi / 2.0
-    density = np.zeros_like(t)
-    sign = 1.0
-    for j in range(400):
-        m = 2 * j + 1
-        density += sign * (coeff * m) * np.exp(-(m * m) * _PI2_OVER_8 * t)
-        sign = -sign
-        m_next = m + 2
-        next_max = coeff * m_next * math.exp(-(m_next * m_next) * _PI2_OVER_8 * float(t.min()))
-        if next_max < SERIES_TERM_TOL:
-            return density
-    raise NumericError("spectral series for the exit density did not converge")
+    return _spectral_sum(t, _density_weight, _DENSITY_NEEDS)
 
 
 def _by_regime(t, small_t, large_t):
@@ -139,7 +178,9 @@ _TABLE_T.flags.writeable = False
 _TABLE_F.flags.writeable = False
 # Start for u = 0; every u > 0 interpolates above it.
 _T_FLOOR = np.finfo(float).tiny
-_INVERT_BLOCK = 1 << 15  # draws per block, bounds the Newton temporaries
+# Draws per block: bounds the Newton temporaries (32 KB each) so they stay in
+# cache; a draw's bits do not depend on it.
+_INVERT_BLOCK = 1 << 12
 _MAX_PASSES = 64  # bisection alone needs under 30 inside one table cell
 
 

@@ -5,9 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import renewalbm.coupling
+import renewalbm.errors
 import renewalbm.experiments
 from renewalbm.cli import main
-from renewalbm.csvio import format_value, write_summary
+from renewalbm.coupling import build_coupled_realization, embedding_diagnostics
+from renewalbm.csvio import format_value, write_realization_csv, write_summary
+from renewalbm.errors import BudgetError
+from renewalbm.laws import parse_law
+from renewalbm.streams import ROLE_COUPLE, derived_rng
+from renewalbm.transport import scaling_constants
 
 
 def _read(path):
@@ -123,6 +130,58 @@ def test_couple_exact_has_no_sup(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "sup=" not in stdout
     assert not (tmp_path / "grid_path.csv").exists()
+
+
+def _printed(stdout):
+    return dict(item.split("=", 1) for item in stdout.split()[1:])
+
+
+@pytest.mark.parametrize("law", ["uniform01", "two_point:0,1,0.5"])
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_streamed_exact_couple_writes_the_built_realization(tmp_path, capsys, monkeypatch, law, n):
+    # blocks of 64 steps: every realization spans several blocks, and the
+    # zero atom of two_point repeats knots and signs zeros
+    monkeypatch.setattr(renewalbm.coupling, "EXACT_BLOCK", 64)
+    argv = ["couple", "--engine", "exact", "--law", law, "--n", str(n), "--seed", "9"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    items = _printed(capsys.readouterr().out)
+    jump_law = parse_law(law)
+    real = build_coupled_realization(
+        jump_law, scaling_constants(jump_law, 2.0, n), derived_rng(9, ROLE_COUPLE, n, 0), engine="exact"
+    )
+    write_realization_csv(tmp_path / "built.csv", real, 9)
+    assert (tmp_path / "realization.csv").read_bytes() == (tmp_path / "built.csv").read_bytes()
+    assert int(items["steps"]) == real.n_steps
+    diag = embedding_diagnostics(real)
+    for key in ("mean_exit_time", "mean_duration", "second_moment_ratio"):
+        assert float(items[key]) == pytest.approx(diag[key], rel=1e-5)
+
+
+def _couple_peak(tmp_path, n):
+    tracemalloc.start()
+    try:
+        code = main(["couple", "--engine", "exact", "--n", str(n), "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+def test_streamed_exact_couple_memory_does_not_grow_with_n(tmp_path, capsys):
+    # n = 128 fits in one block, n = 512 takes nine
+    small, large = _couple_peak(tmp_path, 128), _couple_peak(tmp_path, 512)
+    assert large < 20e6
+    assert small <= large
+
+
+def test_exact_budget_refuses_the_build_but_not_the_stream(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(renewalbm.errors, "ALLOC_BUDGET_BYTES", 8 * 1000)
+    sched = scaling_constants(parse_law("uniform01"), 2.0, 64)
+    with pytest.raises(BudgetError):
+        build_coupled_realization(parse_law("uniform01"), sched, derived_rng(0, ROLE_COUPLE, 64, 0), engine="exact")
+    assert main(["couple", "--engine", "exact", "--n", "64", "--out", str(tmp_path)]) == 0
+    assert int(_printed(capsys.readouterr().out)["steps"]) > 1000
 
 
 def test_config_file_merge_and_override(tmp_path, capsys):

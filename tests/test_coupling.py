@@ -18,7 +18,9 @@ from renewalbm.coupling import (
     build_coupled_realization,
     decompose_sup,
     embedding_diagnostics,
+    exact_blocks,
     sample_embedding_steps,
+    _first_grid_index,
     _grid_horizon_index,
     sample_exit_level,
     sup_distance,
@@ -338,3 +340,91 @@ def test_grid_walk_extension_is_checked(monkeypatch):
     monkeypatch.setattr(renewalbm.errors, "ALLOC_BUDGET_BYTES", 8 * 40625)
     with pytest.raises(BudgetError, match="extended grid walk"):
         build_coupled_realization(LAW, sched, np.random.default_rng(3))
+
+
+def test_exact_stream_stops_past_both_clocks(monkeypatch):
+    # target 3 makes the first batch 3 + 6 + 16 = 25 steps and later blocks
+    # 64, where n = 10 needs about 200: the stream must keep drawing until
+    # both clocks have passed 1, not stop once the transport clock has
+    monkeypatch.setattr(renewalbm.coupling, "_target_steps", lambda schedule: 3)
+    short = 0
+    for seed in range(40):
+        real = build_coupled_realization(LAW, SCHED10, np.random.default_rng(seed), engine="exact")
+        assert real.bm_times[-1] >= 1.0
+        assert real.path_times[-1] > 1.0
+        assert real.n_steps >= real.first_cover + 2
+        # the first block end a transport-clock-only rule would stop at
+        ends = np.arange(25, real.n_steps + 1, 64)
+        early = int(ends[np.argmax(ends >= real.first_cover + 2)])
+        short += real.bm_times[early] < 1.0
+    assert short > 0
+
+
+@pytest.mark.parametrize("law", [uniform01(), two_point(0.0, 1.0, 0.5)], ids=["uniform01", "two_point"])
+def test_exact_blocks_carry_the_clocks_bit_for_bit(monkeypatch, law):
+    monkeypatch.setattr(renewalbm.coupling, "EXACT_BLOCK", 64)
+    sched = scaling_constants(law, 2.0, 16)
+    # seed 3 starts two_point with a zero level and sign -1: skeleton -0.0
+    blocks = list(exact_blocks(law, sched, np.random.default_rng(3)))
+    assert len(blocks) > 2 and all(b.n_steps <= 64 for b in blocks)
+    assert [b.start for b in blocks] == list(np.cumsum([0] + [b.n_steps for b in blocks[:-1]]))
+    real = build_coupled_realization(law, sched, np.random.default_rng(3), engine="exact")
+    assert real.levels.tobytes() == np.concatenate([b.levels for b in blocks]).tobytes()
+    # the carried running sums are one cumsum over all steps, signed zeros too
+    assert real.path_times[1:].tobytes() == np.cumsum(real.durations).tobytes()
+    assert real.bm_times[1:].tobytes() == np.cumsum(real.exit_times).tobytes()
+    assert real.skeleton[1:].tobytes() == np.cumsum(real.signs * real.levels).tobytes()
+
+
+def test_exact_build_is_checked_against_the_byte_budget(monkeypatch):
+    sched = scaling_constants(LAW, 2.0, 64)  # about 8200 steps
+    monkeypatch.setattr(renewalbm.errors, "ALLOC_BUDGET_BYTES", 8 * 1000)
+    with pytest.raises(BudgetError, match="exact realization array"):
+        build_coupled_realization(LAW, sched, np.random.default_rng(1), engine="exact")
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=st.floats(1e-5, 0.5), data=st.data())
+def test_first_grid_index_matches_a_search_of_the_grid_times(h, data):
+    size = data.draw(st.integers(1, int(1.0 / h) + 2))
+    t = np.arange(size, dtype=float) * h
+    picks = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=20))
+    on_grid = t[picks]
+    x = np.concatenate([
+        on_grid,
+        np.nextafter(on_grid, -np.inf).clip(0.0),
+        np.nextafter(on_grid, np.inf),
+        data.draw(arrays(float, 10, elements=st.floats(0.0, 1.1 * size * h))),
+    ])
+    assert np.array_equal(_first_grid_index(x, h, size), np.searchsorted(t, x, side="left"))
+
+
+def test_grid_walk_bits_do_not_depend_on_the_block():
+    sched = scaling_constants(LAW, 2.0, 4)
+    whole = build_coupled_realization(LAW, sched, np.random.default_rng(6))
+    for block in (7, 1000):
+        with mock.patch.object(renewalbm.coupling, "SUP_BLOCK", block):
+            blocked = build_coupled_realization(LAW, sched, np.random.default_rng(6))
+        assert blocked.grid.values.tobytes() == whole.grid.values.tobytes()
+        assert blocked.grid.max_increment == whole.grid.max_increment
+        assert sup_distance(blocked) == sup_distance(whole)
+
+
+def test_grid_build_and_sup_hold_about_one_walk():
+    import tracemalloc
+
+    sched = scaling_constants(LAW, 2.0, 32)
+    tracemalloc.start()
+    try:
+        real = build_coupled_realization(LAW, sched, derived_rng(1, ROLE_RATE, 32, 0))
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        sup_distance(real)
+        sup_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    walk = real.grid.values.nbytes
+    # increments drawn a block at a time, grid times built a block at a time
+    assert build_peak < 1.25 * walk
+    assert sup_peak < 0.25 * walk

@@ -16,6 +16,8 @@ from renewalbm.exit_times import (
     _UPPER_BRACKET,
     SERIES_SWITCH_T,
     SERIES_TERM_TOL,
+    _cdf_large_t,
+    _cdf_small_t,
     _density_large_t,
     _density_small_t,
     first_crossing,
@@ -75,6 +77,18 @@ def test_series_branches_agree_at_switch():
     assert gap.max() < 1e-13
 
 
+def test_series_values_do_not_depend_on_their_neighbours():
+    # each element sums the terms its own t needs, never its call's worst
+    rng = np.random.default_rng(8)
+    small = np.concatenate([rng.uniform(1e-3, SERIES_SWITCH_T, 300), [np.nextafter(SERIES_SWITCH_T, 0.0)]])
+    large = np.concatenate([rng.uniform(SERIES_SWITCH_T, _UPPER_BRACKET, 300), [SERIES_SWITCH_T]])
+    for series, t in (
+        (_cdf_small_t, small), (_density_small_t, small), (_cdf_large_t, large), (_density_large_t, large)
+    ):
+        alone = np.array([series(t[i : i + 1])[0] for i in range(t.size)])
+        assert series(t).tobytes() == alone.tobytes()
+
+
 def test_moments_by_quadrature():
     # E tau_1 = integral of the survival function = 1
     mean, err = integrate.quad(lambda t: 1.0 - unit_exit_cdf(t), 0.0, 40.0, limit=200)
@@ -130,12 +144,14 @@ def test_inversion_keeps_shape_and_blocks(monkeypatch):
     u = np.random.default_rng(5).random((3, 7))
     whole = invert_unit_cdf(u)
     assert whole.shape == (3, 7)
-    # a block's series truncation depends on its members, so bits may move
-    # with the block size; the tolerance may not
-    monkeypatch.setattr(renewalbm.exit_times, "_INVERT_BLOCK", 4)
-    blocked = invert_unit_cdf(u)
-    assert np.all(np.abs(unit_exit_cdf(blocked) - u) <= 1e-10)
-    assert np.all(np.abs(unit_exit_cdf(blocked) - unit_exit_cdf(whole)) <= 2e-10)
+    # every element truncates its series at its own t, so a draw's bits do
+    # not depend on which other draws share its block
+    for block in (1, 4, 1 << 15):
+        monkeypatch.setattr(renewalbm.exit_times, "_INVERT_BLOCK", block)
+        blocked = invert_unit_cdf(u)
+        assert np.array_equal(blocked, whole)
+        assert np.all(np.abs(unit_exit_cdf(blocked) - u) <= 1e-10)
+        assert np.all(np.abs(unit_exit_cdf(blocked) - unit_exit_cdf(whole)) <= 2e-10)
 
 
 def test_inversion_raises_past_the_pass_bound(monkeypatch):
