@@ -1,13 +1,20 @@
 """CSV writers: the column writer renders the bytes of format_value row by row."""
 
+import hashlib
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import renewalbm.csvio
+from renewalbm.cli import main
 from renewalbm.coupling import build_coupled_realization
 from renewalbm.csvio import (
+    _shortest,
+    _write_columns,
     format_value,
     write_grid_csv,
     write_path_csv,
@@ -95,3 +102,89 @@ def test_trace_rows(tmp_path, row_block):
     want = ((rep, *j[rep]) for rep in range(j.shape[0]))
     assert _table_lines(tmp_path / "trace.csv") == _rows_formula(want)
 
+
+def _rendered(*columns):
+    buf = io.StringIO()
+    _write_columns(buf, *columns)
+    return buf.getvalue()
+
+
+_EDGES = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
+          1e-300, 1e300, 1.7976931348623157e308, 1e-4, 1e15, 0.1, 0.5, 1.0, 1e16, 123456789012345.25]
+_FLOATS = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))),
+    st.floats(),
+    st.floats(1e-4, 1e15),
+    st.sampled_from(_EDGES),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.tuples(st.integers(0, 2**63 - 1), _FLOATS, _FLOATS), min_size=1, max_size=40))
+@example(rows=[(2**63 - 1, f, -f) for f in _EDGES])
+def test_columns_render_as_format_value(row_block, rows):
+    # any float64 bit pattern and any non-negative int64, the kernel's cells
+    # and its per-value repr fallback alike
+    assert _rendered(*zip(*rows)) == "".join(line + "\n" for line in _rows_formula(rows))
+
+
+def _dense_floats():
+    """About a million doubles where a shortest-repr kernel goes wrong first."""
+    rng = np.random.default_rng(8)
+    ulps = np.arange(-3000, 3001)
+    near_pow10 = (np.array([10.0**j for j in range(-5, 17)]).view(np.int64)[:, None] + ulps).view(np.float64)
+    pow2 = np.ldexp(1.0, np.arange(-1074, 1024))
+    near_pow2 = (pow2[(pow2 >= 1e-5) & (pow2 < 1e17)].view(np.int64)[:, None] + np.arange(-50, 51)).view(np.float64)
+    # doubles at or next to 14-, 15- and 16-digit decimals, and doubles
+    # whose shortest repr mostly has 16 or 17 digits
+    decimals = [
+        rng.integers(10 ** (d - 1), 10**d, 100_000) / 10.0 ** rng.integers(0, 23, 100_000)
+        for d in (14, 15, 16)
+    ]
+    wide = rng.random(500_000) * 10.0 ** rng.integers(-6, 18, 500_000)
+    bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    values = np.concatenate([near_pow10.ravel(), near_pow2.ravel(), *decimals, wide, bits])
+    return np.where(rng.random(values.size) < 0.5, -values, values)
+
+
+def test_dense_floats_render_as_repr():
+    values = _dense_floats()
+    assert values.size >= 10**6
+    want = [repr(v) for v in values.tolist()]
+    assert _rendered(values) == "".join(cell + "\n" for cell in want)
+    fixed = np.abs(values)
+    fixed = (fixed >= 1e-4) & (fixed < 1e15)
+    # the digit counts the kernel must choose between, and the fallback edges
+    digits = [len(cell.lstrip("-0.").replace(".", "").rstrip("0")) for cell in np.array(want)[fixed]]
+    assert all(np.count_nonzero(np.array(digits) == k) > 50_000 for k in (15, 16, 17))
+    edges = {"0.0001", "1000000000000000.0", "0.00010000000000000002", "999999999999999.9"}
+    assert edges <= {cell.lstrip("-") for cell in want}
+    # the kernel, not the fallback, renders nearly every value in range
+    assert np.mean(_shortest(np.abs(values[fixed]))[2]) > 0.98
+
+
+# sha256 and size of files written by commit 34dc84f, the last commit that
+# rendered each cell with repr; any change to these bytes is a change of
+# draws or of format
+_PINNED = [
+    (["couple", "--engine", "exact", "--n", "64", "--seed", "11"], {
+        "realization.csv": ("cf412116f27df3152f235d35bea745c67e795d17c9680776d04302bf1e63369c", 662474)}),
+    (["couple", "--engine", "grid", "--n", "8", "--seed", "12", "--export-grid-path"], {
+        "realization.csv": ("772fa232db11df574015c93a32e44c8b01da8fac7742407a66b63810d0fecea5", 7809),
+        "grid_path.csv": ("1bde6da3791c7a5ee5d0772f31139ecb709481f49f0e68d2689ef62dc112fc5d", 4847254)}),
+    (["simulate-path", "--n", "20", "--seed", "13"], {
+        "transport_path.csv": ("6a03365c2048fba6df784b81093edca19f264e360bc7a0e674691eddee6c51e3", 14509)}),
+    (["rate", "--n-grid", "4,8", "--reps", "6", "--seed", "14"], {
+        "rate.csv": ("6fb2c7bc6aac7a598a91f2e3433f2ed7c24fbd20b801a0d51edaa6434d464250", 534),
+        "rate_summary.txt": ("8ff2ca1d541246bb6e6223dc42075087e5f71023d6c6ad720542d7ba570d09c5", 390)}),
+    (["trace", "--n-grid", "4,8", "--reps", "6", "--seed", "15"], {
+        "trace.csv": ("4d82ec90178b07bf7f0faf56ebed5da4f2517f6fda7510f88c3abd951f27f6b0", 405)}),
+]
+
+
+@pytest.mark.parametrize("argv, files", _PINNED, ids=[argv[0] + "-" + argv[argv.index("--seed") + 1] for argv, _ in _PINNED])
+def test_same_seed_outputs_keep_their_bytes(tmp_path, argv, files):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    for name, (digest, size) in files.items():
+        data = (tmp_path / name).read_bytes()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, size), name

@@ -3,8 +3,8 @@
     python3 tools/bench_pairs.py --pr N --workload exact-couple
     python3 tools/bench_pairs.py --pr N --workload exact-couple --workload grid-ladder --base HEAD~1
 
-Checks out --base (default HEAD, the parent of uncommitted work) into a
-temporary git worktree and runs `python3 bench/run.py --workload W --seed S
+Extracts the committed files of --base (default HEAD, the parent of
+uncommitted work) into a temporary directory with git archive and runs `python3 bench/run.py --workload W --seed S
 --seconds T --trace 0` there and in the working tree, with T the run_seconds
 of BENCHMARK.json, one run per side and pair, PAIRS pairs per workload. Pair
 i uses seed --seed + i on both sides; the parent runs first in even pairs and
@@ -13,8 +13,8 @@ sides alike. Writes BENCH_<pr>.json at the repository root: every run, each
 side's operations attempted and failed and its runs that were not correct,
 and, over the pairs where both sides were correct, each side's median and
 quartiles per metric and the pairs the change won per metric (by the
-direction BENCHMARK.json gives it). The worktree is removed afterwards.
-Standard library only.
+direction BENCHMARK.json gives it). The temporary directory is removed
+afterwards. Standard library, git and tar only.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="seed of pair 0; pair i uses seed + i")
     parser.add_argument("--base", default="HEAD", help="git revision of the parent side")
     args = parser.parse_args(argv)
-    # A terminated run still removes its worktree (the finally below).
+    # A terminated run still removes its temporary directory (the with below).
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -108,24 +108,21 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        parent_tree = Path(tmp) / "parent"
-        _git("worktree", "add", "--detach", str(parent_tree), base)
-        try:
-            for workload in args.workload:
-                runs = []
-                for pair in range(PAIRS):
-                    seed = args.seed + pair
-                    sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-                    for order, side in enumerate(sides):
-                        tree = parent_tree if side == "parent" else ROOT
-                        run = run_once(tree, workload, seed, seconds)
-                        run.update(pair=pair, side=side, seed=seed, order=order)
-                        runs.append(run)
-                        print(workload, pair, side, json.dumps(run.get("metrics", run)), file=sys.stderr)
-                report["workloads"][workload] = {"runs": runs, "summary": summarize(runs, better)}
-        finally:
-            _git("worktree", "remove", "--force", str(parent_tree))
-            _git("worktree", "prune")
+        parent_tree = Path(tmp)
+        archive = subprocess.run(["git", "archive", base], cwd=ROOT, check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
+        for workload in args.workload:
+            runs = []
+            for pair in range(PAIRS):
+                seed = args.seed + pair
+                sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for order, side in enumerate(sides):
+                    tree = parent_tree if side == "parent" else ROOT
+                    run = run_once(tree, workload, seed, seconds)
+                    run.update(pair=pair, side=side, seed=seed, order=order)
+                    runs.append(run)
+                    print(workload, pair, side, json.dumps(run.get("metrics", run)), file=sys.stderr)
+            report["workloads"][workload] = {"runs": runs, "summary": summarize(runs, better)}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(out)
