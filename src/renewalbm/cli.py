@@ -1,6 +1,9 @@
 """Command-line front end: config parsing, dispatch, and artifact emission.
 
-Flags override key=value config files, unknown keys are rejected, and every
+Each option is declared once, by its argparse action: type, default,
+choices and help. A key=value config file names options by dest (the flag
+with underscores); each value goes through its option's own type and
+choices, and flags override the file. Unknown keys are rejected, and every
 run prints a one-line summary. Exit codes: 0 success, 2 usage, 3 a request
 past the allocation budget or a failed allocation, 1 anything else.
 """
@@ -51,24 +54,6 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-_UNSET = object()
-
-_DEFAULTS = {
-    "law": "uniform01",
-    "k": 2.0,
-    "seed": 0,
-    "engine": "grid",
-    "grid_step_divisor": GRID_STEP_DIVISOR,
-    "out": ".",
-    "export_grid_path": False,
-    "alpha": None,
-    "workers": 1,
-    "s": 0.5,
-    "t": 1.0,
-}
-_REPS_DEFAULT = {"rate": 200, "trace": 100, "gof": 5000}
-
-
 def _parse_n_grid(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -85,98 +70,58 @@ def _parse_bool(text: str) -> bool:
     raise UsageError(f"expected a boolean, got {text!r}")
 
 
-_CONVERTERS = {
-    "law": str,
-    "k": float,
-    "n": int,
-    "n_grid": _parse_n_grid,
-    "reps": int,
-    "seed": int,
-    "engine": str,
-    "grid_step_divisor": int,
-    "out": str,
-    "export_grid_path": _parse_bool,
-    "alpha": float,
-    "workers": int,
-    "s": float,
-    "t": float,
-}
-
-_COMMAND_KEYS = {
-    "simulate-path": ("law", "k", "n", "seed", "out"),
-    "couple": (
-        "law",
-        "k",
-        "n",
-        "seed",
-        "engine",
-        "grid_step_divisor",
-        "export_grid_path",
-        "out",
-    ),
-    "rate": (
-        "law",
-        "k",
-        "n_grid",
-        "reps",
-        "seed",
-        "grid_step_divisor",
-        "alpha",
-        "workers",
-        "out",
-    ),
-    "gof": ("law", "k", "n", "reps", "seed", "s", "t", "out"),
-    "trace": ("law", "k", "n_grid", "reps", "seed", "out"),
-}
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The parser, and per subcommand its subparser and the actions of the
+    options a config file may set, keyed by dest."""
     parser = argparse.ArgumentParser(
         prog="renewalbm",
         description="Renewal-reward transport paths coupled to Brownian motion.",
     )
     parser.add_argument("--version", action="version", version=f"renewalbm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def law_k_seed(sp):
-        sp.add_argument("--law", default=_UNSET, help="uniform01 | exponential:<rate> | deterministic:<c> | two_point:<a>,<b>,<p> (default uniform01)")
-        sp.add_argument("--k", type=float, default=_UNSET, help="rate exponent, must exceed 1 (default 2)")
-        sp.add_argument("--seed", type=int, default=_UNSET, help="master seed (default 0)")
-        sp.add_argument("--out", default=_UNSET, help="existing output directory (default .)")
-        sp.add_argument("--config", default=None, help="key=value file; flags override it")
+    def add_command(name, summary):
+        sp = sub.add_parser(name, help=summary)
+        options = {}
+        commands[name] = (sp, options)
 
-    sp = sub.add_parser("simulate-path", help="one renewal-transport path on [0, 1]")
-    law_k_seed(sp)
-    sp.add_argument("--n", type=int, default=_UNSET, help="scale index (required)")
+        def option(flag, **kw):
+            action = sp.add_argument(flag, **kw)
+            options[action.dest] = action
 
-    sp = sub.add_parser("couple", help="one coupled transport/Brownian realization")
-    law_k_seed(sp)
-    sp.add_argument("--n", type=int, default=_UNSET, help="scale index (required)")
-    sp.add_argument("--engine", choices=("exact", "grid"), default=_UNSET, help="embedding engine (default grid)")
-    sp.add_argument("--grid-step-divisor", type=int, default=_UNSET, help=f"grid step = mean_step / divisor (default {GRID_STEP_DIVISOR})")
-    sp.add_argument("--export-grid-path", action="store_true", default=_UNSET, help="also write the grid Brownian path (may be large)")
+        option("--law", default="uniform01", help="uniform01 | exponential:<rate> | deterministic:<c> | two_point:<a>,<b>,<p> (default %(default)s)")
+        option("--k", type=float, default=2.0, help="rate exponent, must exceed 1 (default %(default)s)")
+        option("--seed", type=int, default=0, help="master seed (default %(default)s)")
+        option("--out", default=".", help="existing output directory (default %(default)s)")
+        sp.add_argument("--config", help="key=value file; flags override it")
+        return option
 
-    sp = sub.add_parser("rate", help="deviation-rate campaign across scales")
-    law_k_seed(sp)
-    sp.add_argument("--n-grid", type=_parse_n_grid, default=_UNSET, help="comma-separated increasing scales (required)")
-    sp.add_argument("--reps", type=int, default=_UNSET, help="replications per scale (default 200)")
-    sp.add_argument("--grid-step-divisor", type=int, default=_UNSET, help=f"grid step = mean_step / divisor (default {GRID_STEP_DIVISOR})")
-    sp.add_argument("--alpha", type=float, default=_UNSET, help="exceedance constant (default: calibrate at smallest scale)")
-    sp.add_argument("--workers", type=int, default=_UNSET, help="parallel replication workers (default 1)")
+    option = add_command("simulate-path", "one renewal-transport path on [0, 1]")
+    option("--n", type=int, help="scale index (required)")
 
-    sp = sub.add_parser("gof", help="distributional checks of direct paths")
-    law_k_seed(sp)
-    sp.add_argument("--n", type=int, default=_UNSET, help="scale index (required)")
-    sp.add_argument("--reps", type=int, default=_UNSET, help="direct simulations (default 5000)")
-    sp.add_argument("--s", type=float, default=_UNSET, help="earlier covariance time (default 0.5)")
-    sp.add_argument("--t", type=float, default=_UNSET, help="later covariance time (default 1.0)")
+    option = add_command("couple", "one coupled transport/Brownian realization")
+    option("--n", type=int, help="scale index (required)")
+    option("--engine", choices=("exact", "grid"), default="grid", help="embedding engine (default %(default)s)")
+    option("--export-grid-path", action="store_true", help="also write the grid Brownian path (may be large)")
 
-    sp = sub.add_parser("trace", help="per-replication convergence traces")
-    law_k_seed(sp)
-    sp.add_argument("--n-grid", type=_parse_n_grid, default=_UNSET, help="comma-separated increasing scales (required)")
-    sp.add_argument("--reps", type=int, default=_UNSET, help="replications (default 100)")
+    option = add_command("rate", "deviation-rate campaign across scales")
+    option("--n-grid", type=_parse_n_grid, help="comma-separated increasing scales (required)")
+    option("--reps", type=int, default=200, help="replications per scale (default %(default)s)")
+    option("--alpha", type=float, help="exceedance constant (default: calibrate at smallest scale)")
+    option("--workers", type=int, default=1, help="parallel replication workers (default %(default)s)")
 
-    return parser
+    option = add_command("gof", "distributional checks of direct paths")
+    option("--n", type=int, help="scale index (required)")
+    option("--reps", type=int, default=5000, help="direct simulations (default %(default)s)")
+    option("--s", type=float, default=0.5, help="earlier covariance time (default %(default)s)")
+    option("--t", type=float, default=1.0, help="later covariance time (default %(default)s)")
+
+    option = add_command("trace", "per-replication convergence traces")
+    option("--n-grid", type=_parse_n_grid, help="comma-separated increasing scales (required)")
+    option("--reps", type=int, default=100, help="replications (default %(default)s)")
+
+    return parser, commands
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -193,26 +138,36 @@ def _read_config_file(path: str) -> dict[str, str]:
     return found
 
 
+def _config_value(action, text: str):
+    # What the flag would store: a flag that takes no value (store_true)
+    # reads a boolean, every other one its own type, checked against its choices.
+    value = _parse_bool(text) if action.nargs == 0 else (action.type or str)(text)
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(f"{action.dest} must be one of {', '.join(action.choices)}, got {value!r}")
+    return value
+
+
 def parse_config(argv=None) -> argparse.Namespace:
-    """Parse flags, merge the optional config file, and apply defaults."""
-    args = _build_parser().parse_args(argv)
-    keys = _COMMAND_KEYS[args.command]
+    """Parse flags and merge the optional config file.
+
+    A config key is an option's dest (its flag with underscores), converted
+    and checked by that option's own action, and installed as the
+    subparser's default before argv is parsed again, so flags win.
+    """
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    sp, options = commands[args.command]
     if args.config is not None:
+        values = {}
         for key, text in _read_config_file(args.config).items():
-            if key not in keys:
+            if key not in options:
                 raise UsageError(f"unknown config key {key!r} for {args.command}")
-            if getattr(args, key) is _UNSET:
-                setattr(args, key, _CONVERTERS[key](text))
-    for key in keys:
-        if getattr(args, key) is _UNSET:
-            if key in ("n", "n_grid"):
-                raise UsageError(f"--{key.replace('_', '-')} is required for {args.command}")
-            setattr(args, key, _REPS_DEFAULT[args.command] if key == "reps" else _DEFAULTS[key])
-    if "engine" in keys and args.engine not in ("exact", "grid"):
-        raise UsageError(f"engine must be exact or grid, got {args.engine!r}")
-    for key in ("n", "reps", "workers", "grid_step_divisor"):
-        if key in keys and getattr(args, key) < 1:
-            raise UsageError(f"{key} must be positive")
+            values[key] = _config_value(options[key], text)
+        sp.set_defaults(**values)
+        args = parser.parse_args(argv)
+    for key in ("n", "n_grid"):
+        if key in options and getattr(args, key) is None:
+            raise UsageError(f"--{key.replace('_', '-')} is required for {args.command}")
     return args
 
 
@@ -260,9 +215,7 @@ def _cmd_couple(args) -> int:
     out = Path(args.out) / "realization.csv"
     items = _law_items(law, args)
     if args.engine == "grid":
-        real = build_coupled_realization(
-            law, sched, rng, engine="grid", grid_step=sched.mean_step / args.grid_step_divisor
-        )
+        real = build_coupled_realization(law, sched, rng, engine="grid")
         csvio.write_realization_csv(out, real, args.seed)
         items.update(n=args.n, engine=args.engine, steps=real.n_steps, sup=sup_distance(real, "grid"))
         diag = embedding_diagnostics(real)
@@ -298,7 +251,6 @@ def _cmd_rate(args) -> int:
         reps=args.reps,
         master_seed=args.seed,
         alpha=args.alpha,
-        grid_step_divisor=args.grid_step_divisor,
     )
     result = run_rate_experiment(cfg, workers=args.workers)
     out = Path(args.out) / "rate.csv"
@@ -309,7 +261,7 @@ def _cmd_rate(args) -> int:
         "k": args.k,
         "n_grid": ",".join(str(n) for n in cfg.n_grid),
         "reps": cfg.reps,
-        "grid_step_divisor": cfg.grid_step_divisor,
+        "grid_step_divisor": GRID_STEP_DIVISOR,
         "seed": cfg.master_seed,
         "alpha": result.alpha,
         "slope": result.slope,
@@ -413,23 +365,12 @@ _COMMANDS = {
 }
 
 
-def dispatch(args: argparse.Namespace) -> int:
-    return _COMMANDS[args.command](args)
-
-
 def main(argv=None) -> int:
     try:
         args = parse_config(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    try:
-        return dispatch(args)
     except (CapacityError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -158,6 +158,18 @@ def _target_steps(schedule: ScalingSchedule) -> int:
     return int(1.0 / schedule.mean_step) + 2
 
 
+def _batch_size(target: int, drawn: int) -> int:
+    # The next draw after `drawn` steps: what is left of a first batch of
+    # target + 4 sqrt(target) + 16 steps, then max(64, target // 4) at a time.
+    first = target + int(4.0 * math.sqrt(target)) + 16
+    return first - drawn if drawn < first else max(64, target // 4)
+
+
+def _enough_steps(count: int, target: int, first_cover: int | None) -> bool:
+    # The transport clock has covered [0, 1] and two spare segments follow.
+    return first_cover is not None and count >= max(target, first_cover + 2)
+
+
 def build_coupled_realization(
     law: JumpLaw,
     schedule: ScalingSchedule,
@@ -232,12 +244,11 @@ def exact_blocks(law, schedule, rng):
     holds them.
     """
     target = _target_steps(schedule)
-    first = target + int(4.0 * math.sqrt(target)) + 16
     count = 0
     first_cover = None
     carry = None
     while True:
-        size = min(EXACT_BLOCK, first - count if count < first else max(64, target // 4))
+        size = min(EXACT_BLOCK, _batch_size(target, count))
         block = _exact_block(law, schedule, rng, count, size, carry)
         count += size
         carry = (block.path_times[-1], block.bm_times[-1], block.skeleton[-1])
@@ -249,12 +260,7 @@ def exact_blocks(law, schedule, rng):
         # Not held while the next block is drawn: a consumer that lets go of
         # each block in turn holds one block at a time.
         del block
-        if (
-            first_cover is not None
-            and carry[0] > 1.0
-            and carry[1] >= 1.0
-            and count >= max(target, first_cover + 2)
-        ):
+        if carry[0] > 1.0 and carry[1] >= 1.0 and _enough_steps(count, target, first_cover):
             return
 
 
@@ -301,8 +307,7 @@ def _build_grid(law, schedule, rng, h):
     first_cover = None
     while True:
         if levels_used == len(levels_buf):
-            want = target + int(4.0 * math.sqrt(target)) + 16 if count == 0 else max(64, target // 4)
-            levels_buf = sample_exit_level(law, schedule, rng, want)
+            levels_buf = sample_exit_level(law, schedule, rng, _batch_size(target, count))
             levels_used = 0
         level = float(levels_buf[levels_used])
         levels_used += 1
@@ -322,7 +327,7 @@ def _build_grid(law, schedule, rng, h):
         count += 1
         if first_cover is None and clock >= 1.0:
             first_cover = count
-        if first_cover is not None and count >= max(target, first_cover + 2):
+        if _enough_steps(count, target, first_cover):
             break
 
     levels = np.asarray(levels_out)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._version import __version__
-from .coupling import StepBlock
+from .coupling import GRID_STEP_DIVISOR, StepBlock
 from .laws import law_label
 
 ROW_BLOCK = 8192  # rows rendered per write; bounds the matrices held at once
@@ -312,7 +312,7 @@ def write_rate_csv(file, result) -> None:
                     "k": cfg.k,
                     "n_grid": ",".join(str(n) for n in cfg.n_grid),
                     "reps": cfg.reps,
-                    "grid_step_divisor": cfg.grid_step_divisor,
+                    "grid_step_divisor": GRID_STEP_DIVISOR,
                     "alpha": "auto" if cfg.alpha is None else cfg.alpha,
                     "seed": cfg.master_seed,
                 }

@@ -21,11 +21,7 @@ from multiprocessing import Pool
 import numpy as np
 from scipy import special
 
-from .coupling import (
-    GRID_STEP_DIVISOR,
-    build_coupled_realization,
-    decompose_sup,
-)
+from .coupling import build_coupled_realization, decompose_sup
 from .errors import BudgetError, InputError, RateConditionError
 from .laws import JumpLaw
 from .streams import ROLE_RATE, ROLE_TRACE, derived_rng
@@ -61,7 +57,6 @@ class RateExperimentConfig:
     reps: int
     master_seed: int
     alpha: float | None = None
-    grid_step_divisor: int = GRID_STEP_DIVISOR
 
     def __post_init__(self):
         if not self.k > 1:
@@ -72,8 +67,6 @@ class RateExperimentConfig:
             raise InputError("n_grid entries must be at least 2")
         if self.reps < 2:
             raise InputError("reps must be at least 2")
-        if self.grid_step_divisor < 1:
-            raise InputError("grid_step_divisor must be positive")
         if self.alpha is not None and not self.alpha > 0:
             raise InputError("alpha must be positive")
 
@@ -165,12 +158,9 @@ def slope_error(real, max_segments: int = 32) -> float:
 
 
 def _replicate(args) -> RateSample:
-    law, k, n, rep, master_seed, role, divisor = args
+    law, k, n, rep, master_seed, role = args
     rng = derived_rng(master_seed, role, n, rep)
-    sched = scaling_constants(law, k, n)
-    real = build_coupled_realization(
-        law, sched, rng, engine="grid", grid_step=sched.mean_step / divisor
-    )
+    real = build_coupled_realization(law, scaling_constants(law, k, n), rng, engine="grid")
     dec = decompose_sup(real)
     return RateSample(
         n=n,
@@ -186,11 +176,11 @@ def _replicate(args) -> RateSample:
     )
 
 
-def _ladder(law, k, n_grid, reps, master_seed, role, divisor, workers):
+def _ladder(law, k, n_grid, reps, master_seed, role, workers):
     """Yield (n, samples in rep order) rung by rung; one pool serves the ladder."""
 
     def jobs(n):
-        return [(law, k, n, rep, master_seed, role, divisor) for rep in range(reps)]
+        return [(law, k, n, rep, master_seed, role) for rep in range(reps)]
 
     if workers <= 1:
         for n in n_grid:
@@ -209,10 +199,11 @@ def run_rate_experiment(cfg: RateExperimentConfig, workers: int = 1) -> RateResu
     rep), and the reduction preserves replication order, so equal configs give
     identical results at any worker count.
     """
+    if workers < 1:
+        raise InputError("workers must be positive")
     per_n: list[tuple[int, list[RateSample]]] = []
     stop = None
-    rungs = _ladder(cfg.law, cfg.k, cfg.n_grid, cfg.reps, cfg.master_seed, ROLE_RATE,
-                    cfg.grid_step_divisor, workers)
+    rungs = _ladder(cfg.law, cfg.k, cfg.n_grid, cfg.reps, cfg.master_seed, ROLE_RATE, workers)
     try:
         for rung in rungs:
             per_n.append(rung)
@@ -412,7 +403,7 @@ def as_trace(law: JumpLaw, k: float, n_grid, reps: int, master_seed: int) -> Tra
     grid = _check_ladder(n_grid)
     if reps < 1:
         raise InputError("reps must be positive")
-    rungs = _ladder(law, k, grid, reps, master_seed, ROLE_TRACE, GRID_STEP_DIVISOR, 1)
+    rungs = _ladder(law, k, grid, reps, master_seed, ROLE_TRACE, 1)
     j = np.array([[s.sup for s in samples] for _, samples in rungs]).T
     monotone = np.all(np.diff(j, axis=1) < 0.0, axis=1)
     return TraceResult(

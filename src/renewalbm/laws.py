@@ -46,6 +46,12 @@ def two_point(a: float, b: float, p: float) -> JumpLaw:
     return JumpLaw("two_point", (float(a), float(b), float(p)))
 
 
+def _mass_at_zero(law: JumpLaw) -> float:
+    # P(U = 0) of a two_point law with parameters (a, b, p).
+    a, b, p = law.params
+    return (p if a == 0 else 0.0) + ((1.0 - p) if b == 0 else 0.0)
+
+
 def validate_law(law: JumpLaw) -> list[str]:
     """Return a list of violation messages, empty when the law is usable.
 
@@ -78,8 +84,7 @@ def validate_law(law: JumpLaw) -> list[str]:
             out.append("nonpositive b")
         if not 0.0 <= p <= 1.0:
             out.append("p outside [0, 1]")
-        mass_at_zero = (p if a == 0 else 0.0) + ((1.0 - p) if b == 0 else 0.0)
-        if mass_at_zero == 1.0:
+        if _mass_at_zero(law) == 1.0:
             out.append("P(U=0)=1")
     return out
 
@@ -114,9 +119,7 @@ def has_zero_atom(law: JumpLaw) -> bool:
     """
     if law.kind != "two_point" or len(law.params) != 3:
         return False
-    a, b, p = law.params
-    mass = (p if a == 0 else 0.0) + ((1.0 - p) if b == 0 else 0.0)
-    return 0.0 < mass < 1.0
+    return 0.0 < _mass_at_zero(law) < 1.0
 
 
 def sample_jumps(law: JumpLaw, rng: np.random.Generator, size: int | None = None):

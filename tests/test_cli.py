@@ -8,7 +8,7 @@ import pytest
 import renewalbm.coupling
 import renewalbm.errors
 import renewalbm.experiments
-from renewalbm.cli import main
+from renewalbm.cli import main, parse_config
 from renewalbm.coupling import build_coupled_realization, embedding_diagnostics
 from renewalbm.csvio import format_value, write_realization_csv, write_summary
 from renewalbm.errors import BudgetError
@@ -60,6 +60,11 @@ def test_usage_exit_codes(tmp_path, capsys):
     assert main(["simulate-path", "--n", "10", "--frobnicate"]) == 2
     assert main(["couple", "--n", "6", "--engine", "exact", "--export-grid-path",
                  "--out", str(tmp_path)]) == 2
+    assert main(["couple", "--n", "6", "--grid-step-divisor", "10", "--out", str(tmp_path)]) == 2
+    capsys.readouterr()
+    assert main(["rate", "--n-grid", "4,8", "--reps", "2", "--workers", "0", "--out", str(tmp_path)]) == 2
+    assert "workers must be positive" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_capacity_exit_code(tmp_path, capsys):
@@ -203,6 +208,19 @@ def test_config_file_merge_and_override(tmp_path, capsys):
     assert main(["rate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "unknown config key 'q'" in capsys.readouterr().err
 
+    cfg.write_text("grid_step_divisor = 1000\n", encoding="utf-8")
+    for command in ("couple", "rate"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "unknown config key 'grid_step_divisor'" in capsys.readouterr().err
+
+    # values go through the flags' own types and choices
+    cfg.write_text("n = 6\nengine = fancy\n", encoding="utf-8")
+    assert main(["couple", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "fancy" in capsys.readouterr().err
+    cfg.write_text("n = 6\nexport_grid_path = yes\n", encoding="utf-8")
+    assert main(["couple", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "grid_path.csv").exists()
+
 
 def test_rate_artifacts_are_reproducible(tmp_path):
     args = ["rate", "--n-grid", "4,8", "--reps", "4", "--seed", "5"]
@@ -263,3 +281,37 @@ def test_write_summary_layout(tmp_path):
     out = tmp_path / "s.txt"
     write_summary(out, {"a": 1, "b": True, "c": 0.5})
     assert _read(out) == "a=1\nb=true\nc=0.5\n"
+
+
+@pytest.mark.parametrize(
+    "command, line, flag, from_file, from_flag",
+    [
+        (["rate", "--n-grid", "4,8"], "reps = 3", ["--reps", "5"], 3, 5),
+        (["simulate-path", "--n", "4"], "k = 3.0", ["--k", "2.5"], 3.0, 2.5),
+        (["simulate-path", "--n", "4"], "law = exponential:1", ["--law", "uniform01"], "exponential:1", "uniform01"),
+        (["trace"], "n_grid = 4,8", ["--n-grid", "16,32"], (4, 8), (16, 32)),
+        (["couple", "--n", "4"], "export_grid_path = no", ["--export-grid-path"], False, True),
+    ],
+    ids=["int", "float", "str", "n_grid", "bool"],
+)
+def test_flags_override_config_values(tmp_path, command, line, flag, from_file, from_flag):
+    key = line.split(" = ")[0]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    argv = command + ["--config", str(cfg)]
+    assert getattr(parse_config(argv), key) == from_file
+    assert getattr(parse_config(argv + flag), key) == from_flag
+
+
+def test_parsed_defaults():
+    common = {"law": "uniform01", "k": 2.0, "seed": 0, "out": ".", "config": None}
+    want = {
+        "simulate-path": {"n": 4},
+        "couple": {"n": 4, "engine": "grid", "export_grid_path": False},
+        "rate": {"n_grid": (4,), "reps": 200, "alpha": None, "workers": 1},
+        "gof": {"n": 4, "reps": 5000, "s": 0.5, "t": 1.0},
+        "trace": {"n_grid": (4,), "reps": 100},
+    }
+    for command, own in want.items():
+        scale = ["--n-grid", "4"] if "n_grid" in own else ["--n", "4"]
+        assert vars(parse_config([command] + scale)) == {"command": command, **common, **own}

@@ -44,6 +44,7 @@ def _table_lines(path):
 def row_block(request, monkeypatch):
     if request.param is not None:
         monkeypatch.setattr(renewalbm.csvio, "ROW_BLOCK", request.param)
+    return request.param
 
 
 def _realization(engine, seed):
@@ -61,6 +62,11 @@ def test_realization_rows(tmp_path, row_block, engine):
 
 def test_grid_rows(tmp_path, row_block):
     real = _realization("grid", 4)
+    if row_block is not None:
+        # Every block costs the same fixed overhead, so the one- and
+        # three-row blocks render a cut path: 457 rows, not a multiple of
+        # 3, so the last block is short.
+        real.grid.values = real.grid.values[:457]
     write_grid_csv(tmp_path / "g.csv", real, 4)
     t = np.arange(len(real.grid.values)) * real.grid.step
     assert _table_lines(tmp_path / "g.csv") == _rows_formula(zip(t, real.grid.values))

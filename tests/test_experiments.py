@@ -52,8 +52,12 @@ def test_config_validation():
         RateExperimentConfig(**{**ok, "reps": 1})
     with pytest.raises(InputError):
         RateExperimentConfig(**{**ok, "alpha": 0.0})
-    with pytest.raises(InputError):
-        RateExperimentConfig(**{**ok, "grid_step_divisor": 0})
+
+
+def test_rate_experiment_needs_a_worker():
+    cfg = RateExperimentConfig(law=LAW, k=2.0, n_grid=(4, 8), reps=5, master_seed=1)
+    with pytest.raises(InputError, match="workers"):
+        run_rate_experiment(cfg, workers=0)
 
 
 def test_fit_rate_exact_lines():
