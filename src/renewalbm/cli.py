@@ -3,8 +3,9 @@
 Each option is declared once, by its argparse action: type, default,
 choices and help. A key=value config file names options by dest (the flag
 with underscores); each value goes through its option's own type and
-choices, and flags override the file. Unknown keys are rejected, and every
-run prints a one-line summary. Exit codes: 0 success, 2 usage, 3 a request
+choices, and flags override the file. Unknown keys are rejected. Each
+command writes its artifacts and returns its summary items; main prints them
+after the law's as one line. Exit codes: 0 success, 2 usage, 3 a request
 past the allocation budget or a failed allocation, 1 anything else.
 """
 
@@ -26,7 +27,7 @@ from .coupling import (
     exact_blocks,
     sup_distance,
 )
-from .errors import BudgetError, CapacityError, UsageError
+from .errors import BudgetError, UsageError
 from .experiments import (
     RateExperimentConfig,
     as_trace,
@@ -58,7 +59,7 @@ def _parse_n_grid(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise UsageError(f"n_grid must be comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}") from None
 
 
 def _parse_bool(text: str) -> bool:
@@ -141,7 +142,10 @@ def _read_config_file(path: str) -> dict[str, str]:
 def _config_value(action, text: str):
     # What the flag would store: a flag that takes no value (store_true)
     # reads a boolean, every other one its own type, checked against its choices.
-    value = _parse_bool(text) if action.nargs == 0 else (action.type or str)(text)
+    try:
+        value = _parse_bool(text) if action.nargs == 0 else (action.type or str)(text)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise UsageError(f"config key {action.dest!r}: {exc}") from None
     if action.choices is not None and value not in action.choices:
         raise UsageError(f"{action.dest} must be one of {', '.join(action.choices)}, got {value!r}")
     return value
@@ -188,36 +192,31 @@ def _law_items(law, args) -> dict:
     return items
 
 
-def _cmd_simulate_path(args) -> int:
-    law = parse_law(args.law)
+def _cmd_simulate_path(args, law) -> dict:
     sched = scaling_constants(law, args.k, args.n)
     rng = derived_rng(args.seed, ROLE_PATH, args.n, 0)
     path = sample_renewal_path(law, sched, 1.0, rng)
     tp = build_transport_path(path, sched)
     out = Path(args.out) / "transport_path.csv"
     csvio.write_path_csv(out, tp, law, sched, args.seed)
-    items = _law_items(law, args)
-    items.update(
-        n=args.n,
-        events=len(path.times),
-        breakpoints=len(tp.knot_times) - 1,
-        terminal=tp.value_at(min(1.0, path.horizon)),
-        out=str(out),
-    )
-    _print_line("simulate-path", items)
-    return EXIT_OK
+    return {
+        "n": args.n,
+        "events": len(path.times),
+        "breakpoints": len(tp.knot_times) - 1,
+        "terminal": tp.value_at(min(1.0, path.horizon)),
+        "out": str(out),
+    }
 
 
-def _cmd_couple(args) -> int:
-    law = parse_law(args.law)
+def _cmd_couple(args, law) -> dict:
     sched = scaling_constants(law, args.k, args.n)
     rng = derived_rng(args.seed, ROLE_COUPLE, args.n, 0)
     out = Path(args.out) / "realization.csv"
-    items = _law_items(law, args)
+    items = {"n": args.n, "engine": args.engine}
     if args.engine == "grid":
         real = build_coupled_realization(law, sched, rng, engine="grid")
         csvio.write_realization_csv(out, real, args.seed)
-        items.update(n=args.n, engine=args.engine, steps=real.n_steps, sup=sup_distance(real, "grid"))
+        items.update(steps=real.n_steps, sup=sup_distance(real, "grid"))
         diag = embedding_diagnostics(real)
     else:
         if args.export_grid_path:
@@ -226,24 +225,19 @@ def _cmd_couple(args) -> int:
         sums = EmbeddingSums()
         blocks = sums.tally(exact_blocks(law, sched, rng))
         csvio.write_realization_blocks(out, law, sched, "exact", args.seed, blocks)
-        items.update(n=args.n, engine=args.engine, steps=sums.steps)
+        items["steps"] = sums.steps
         diag = sums.diagnostics()
-    items.update(
-        mean_exit_time=diag["mean_exit_time"],
-        mean_duration=diag["mean_duration"],
-        second_moment_ratio=diag["second_moment_ratio"],
-        out=str(out),
-    )
+    for key in ("mean_exit_time", "mean_duration", "second_moment_ratio"):
+        items[key] = diag[key]
+    items["out"] = str(out)
     if args.export_grid_path:
         grid_out = Path(args.out) / "grid_path.csv"
         csvio.write_grid_csv(grid_out, real, args.seed)
         items["grid_out"] = str(grid_out)
-    _print_line("couple", items)
-    return EXIT_OK
+    return items
 
 
-def _cmd_rate(args) -> int:
-    law = parse_law(args.law)
+def _cmd_rate(args, law) -> dict:
     cfg = RateExperimentConfig(
         law=law,
         k=args.k,
@@ -255,11 +249,12 @@ def _cmd_rate(args) -> int:
     result = run_rate_experiment(cfg, workers=args.workers)
     out = Path(args.out) / "rate.csv"
     csvio.write_rate_csv(out, result)
+    n_grid = csvio.n_grid_label(cfg.n_grid)
     summary = {
         "tool_version": __version__,
         "law": law_label(law),
         "k": args.k,
-        "n_grid": ",".join(str(n) for n in cfg.n_grid),
+        "n_grid": n_grid,
         "reps": cfg.reps,
         "grid_step_divisor": GRID_STEP_DIVISOR,
         "seed": cfg.master_seed,
@@ -277,24 +272,19 @@ def _cmd_rate(args) -> int:
     for row in result.rows:
         summary[f"median_J_n{row.n}"] = row.median_j
         summary[f"exceedance_n{row.n}"] = row.exceedance
-    summary_out = Path(args.out) / "rate_summary.txt"
-    csvio.write_summary(summary_out, summary)
-    items = _law_items(law, args)
-    items.update(
-        n_grid=",".join(str(n) for n in cfg.n_grid),
-        reps=cfg.reps,
-        alpha=result.alpha,
-        slope=result.slope,
-        r_squared=result.r_squared,
-        complete=result.complete,
-        out=str(out),
-    )
-    _print_line("rate", items)
-    return EXIT_OK
+    csvio.write_summary(Path(args.out) / "rate_summary.txt", summary)
+    return {
+        "n_grid": n_grid,
+        "reps": cfg.reps,
+        "alpha": result.alpha,
+        "slope": result.slope,
+        "r_squared": result.r_squared,
+        "complete": result.complete,
+        "out": str(out),
+    }
 
 
-def _cmd_gof(args) -> int:
-    law = parse_law(args.law)
+def _cmd_gof(args, law) -> dict:
     sched = scaling_constants(law, args.k, args.n)
     samples = terminal_samples(
         law, sched, args.reps, derived_rng(args.seed, ROLE_GOF_TERMINAL, args.n, 0)
@@ -325,35 +315,28 @@ def _cmd_gof(args) -> int:
         summary["exploratory"] = "zero-atom-law"
     out = Path(args.out) / "gof_summary.txt"
     csvio.write_summary(out, summary)
-    items = _law_items(law, args)
-    items.update(
-        n=args.n,
-        reps=args.reps,
-        ks_p=ks.p_value,
-        variance=variance,
-        cov=cov.statistic,
-        cov_p=cov.p_value,
-        out=str(out),
-    )
-    _print_line("gof", items)
-    return EXIT_OK
+    return {
+        "n": args.n,
+        "reps": args.reps,
+        "ks_p": ks.p_value,
+        "variance": variance,
+        "cov": cov.statistic,
+        "cov_p": cov.p_value,
+        "out": str(out),
+    }
 
 
-def _cmd_trace(args) -> int:
-    law = parse_law(args.law)
+def _cmd_trace(args, law) -> dict:
     trace = as_trace(law, args.k, args.n_grid, args.reps, args.seed)
     out = Path(args.out) / "trace.csv"
     csvio.write_trace_csv(out, trace, law, args.k, args.seed)
-    items = _law_items(law, args)
-    items.update(
-        n_grid=",".join(str(n) for n in trace.n_grid),
-        reps=args.reps,
-        frac_monotone=trace.frac_monotone,
-        frac_final_below_first=trace.frac_final_below_first,
-        out=str(out),
-    )
-    _print_line("trace", items)
-    return EXIT_OK
+    return {
+        "n_grid": csvio.n_grid_label(trace.n_grid),
+        "reps": args.reps,
+        "frac_monotone": trace.frac_monotone,
+        "frac_final_below_first": trace.frac_final_below_first,
+        "out": str(out),
+    }
 
 
 _COMMANDS = {
@@ -368,10 +351,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = parse_config(argv)
-        return _COMMANDS[args.command](args)
+        law = parse_law(args.law)
+        items = _law_items(law, args)
+        items.update(_COMMANDS[args.command](args, law))
+        _print_line(args.command, items)
+        return EXIT_OK
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (CapacityError, BudgetError) as exc:
+    except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except MemoryError as exc:

@@ -1,9 +1,13 @@
 """CSV and key-value writers for paths, realizations, and campaign results.
 
-Every file starts with comment lines carrying the tool version, the
-statistical configuration, and the seed, and every float is written as the
-bytes of repr, so equal configs and seeds produce byte-identical files.
-Nothing volatile (timestamps, hosts, worker counts) is ever written.
+Every table has one layout, and _write_table is its only writer: "# "
+comment lines (the tool version and a "config k=v ..." line carrying the
+statistical configuration and the seed, both from _stamp), the
+comma-separated header, the rows, then any "# " footer lines (fits and
+fractions). Summaries are key=value lines, one per item. Every float is
+written as the bytes of repr, so equal configs and seeds produce
+byte-identical files. Nothing volatile (timestamps, hosts, worker counts) is
+ever written.
 
 Table rows are rendered by one numpy kernel, ROW_BLOCK rows at a time. For a
 float64 x = f * 2**e in repr's fixed notation range, it computes the
@@ -19,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._version import __version__
-from .coupling import GRID_STEP_DIVISOR, StepBlock
+from .coupling import GRID_STEP_DIVISOR
 from .laws import law_label
 
 ROW_BLOCK = 8192  # rows rendered per write; bounds the matrices held at once
@@ -224,150 +228,110 @@ def _write_columns(fh, *columns) -> None:
         fh.write(block[: stop - start].tobytes().translate(None, b"\0").decode("ascii"))
 
 
+def n_grid_label(n_grid) -> str:
+    """The scale ladder as written in configs and summaries: "4,8,16"."""
+    return ",".join(str(n) for n in n_grid)
+
+
+def _stamp(**config) -> list[str]:
+    """The tool version line and the config line that open every table."""
+    return [f"renewalbm {__version__}", "config " + _kv(config)]
+
+
+def _write_table(file, comments, header, blocks, footer=()) -> None:
+    """The one table layout, and its only writer.
+
+    Each comment line as "# line", the comma-joined header, the rows of each
+    block of equal-length columns in turn, then each footer line as
+    "# line". blocks may be a stream; it is read one block at a time.
+    """
+    with _open(file) as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(header) + "\n")
+        for columns in blocks:
+            _write_columns(fh, *columns)
+            del columns  # not held while the next block is drawn
+        for line in footer:
+            fh.write(f"# {line}\n")
+
+
 def write_path_csv(file, tp, law, schedule, seed) -> None:
     """Transport path as t,value rows: every breakpoint, then the horizon
     endpoint when the path runs past the last breakpoint, so the polyline
     through the rows equals the path on [0, horizon]."""
-    with _open(file) as fh:
-        fh.write(
-            f"# renewal-transport path n={schedule.n} k={format_value(schedule.k)} "
-            f"law={law_label(law)} seed={seed}\n"
-        )
-        fh.write(f"# renewalbm {__version__}\n")
-        fh.write(
-            "# config "
-            + _kv({"horizon": tp.horizon, "slope_mag": tp.slope_mag, "initial_sign": tp.initial_sign})
-            + "\n"
-        )
-        fh.write("t,value\n")
-        t, value = tp.knot_times, tp.knot_values
-        if tp.horizon > t[-1]:
-            t = np.append(t, tp.horizon)
-            value = np.append(value, tp.value_at(tp.horizon))
-        _write_columns(fh, t, value)
+    t, value = tp.knot_times, tp.knot_values
+    if tp.horizon > t[-1]:
+        t = np.append(t, tp.horizon)
+        value = np.append(value, tp.value_at(tp.horizon))
+    title = "renewal-transport path " + _kv({"n": schedule.n, "k": schedule.k, "law": law_label(law), "seed": seed})
+    stamp = _stamp(horizon=tp.horizon, slope_mag=tp.slope_mag, initial_sign=tp.initial_sign)
+    _write_table(file, [title, *stamp], ("t", "value"), [(t, value)])
+
+
+_SKELETON_HEADER = ("m", "Gamma", "Lambda", "skeleton_value")
 
 
 def write_realization_csv(file, real, seed) -> None:
     """Coupling skeleton as m,Gamma,Lambda,skeleton_value rows, m = 0..steps."""
-    steps = StepBlock(
-        0, real.levels, real.signs, real.exit_times, real.durations,
-        real.path_times[1:], real.bm_times[1:], real.skeleton[1:],
-    )
-    write_realization_blocks(file, real.law, real.schedule, real.engine, seed, [steps])
+    stamp = _stamp(law=law_label(real.law), k=real.schedule.k, n=real.schedule.n, engine=real.engine, seed=seed)
+    rows = (np.arange(real.n_steps + 1), real.path_times, real.bm_times, real.skeleton)
+    _write_table(file, stamp, _SKELETON_HEADER, [rows])
 
 
 def write_realization_blocks(file, law, schedule, engine, seed, blocks) -> None:
     """Skeleton rows from a stream of coupling.StepBlock, one block held at a
     time: the m = 0 row of zeros, then each block's steps in turn."""
-    with _open(file) as fh:
-        fh.write(f"# renewalbm {__version__}\n")
-        fh.write(
-            "# config "
-            + _kv({"law": law_label(law), "k": schedule.k, "n": schedule.n, "engine": engine, "seed": seed})
-            + "\n"
-        )
-        fh.write("m,Gamma,Lambda,skeleton_value\n")
-        _write_columns(fh, [0], [0.0], [0.0], [0.0])
+
+    def rows():
+        yield [0], [0.0], [0.0], [0.0]
         for b in blocks:
-            m = np.arange(b.start + 1, b.start + b.n_steps + 1)
-            _write_columns(fh, m, b.path_times, b.bm_times, b.skeleton)
-            del b, m  # not held while the next block is drawn
+            yield np.arange(b.start + 1, b.start + b.n_steps + 1), b.path_times, b.bm_times, b.skeleton
+            del b  # not held while the next block is drawn
+
+    stamp = _stamp(law=law_label(law), k=schedule.k, n=schedule.n, engine=engine, seed=seed)
+    _write_table(file, stamp, _SKELETON_HEADER, rows())
 
 
 def write_grid_csv(file, real, seed) -> None:
     """Grid Brownian path as t,w rows; may be large."""
     if real.grid is None:
         raise ValueError("realization has no grid path to export")
-    sched = real.schedule
-    with _open(file) as fh:
-        fh.write(f"# renewalbm {__version__}\n")
-        fh.write(
-            "# config "
-            + _kv(
-                {
-                    "law": law_label(real.law),
-                    "k": sched.k,
-                    "n": sched.n,
-                    "grid_step": real.grid.step,
-                    "seed": seed,
-                }
-            )
-            + "\n"
-        )
-        fh.write("t,w\n")
-        t = np.arange(len(real.grid.values)) * real.grid.step
-        _write_columns(fh, t, real.grid.values)
+    sched, grid = real.schedule, real.grid
+    stamp = _stamp(law=law_label(real.law), k=sched.k, n=sched.n, grid_step=grid.step, seed=seed)
+    _write_table(file, stamp, ("t", "w"), [(np.arange(len(grid.values)) * grid.step, grid.values)])
 
 
 def write_rate_csv(file, result) -> None:
     """Rate campaign table with the fit and calibration in footer comments."""
     cfg = result.config
-    with _open(file) as fh:
-        fh.write(f"# renewalbm {__version__}\n")
-        fh.write(
-            "# config "
-            + _kv(
-                {
-                    "law": law_label(cfg.law),
-                    "k": cfg.k,
-                    "n_grid": ",".join(str(n) for n in cfg.n_grid),
-                    "reps": cfg.reps,
-                    "grid_step_divisor": GRID_STEP_DIVISOR,
-                    "alpha": "auto" if cfg.alpha is None else cfg.alpha,
-                    "seed": cfg.master_seed,
-                }
-            )
-            + "\n"
-        )
-        fh.write("n,mean_J,median_J,q90_J,exceedance,J1,J2,J3,J4\n")
-        fields = (
-            "n", "mean_j", "median_j", "q90_j", "exceedance", "mean_j1", "mean_j2", "mean_j3", "mean_j4"
-        )
-        _write_columns(fh, *([getattr(row, f) for row in result.rows] for f in fields))
-        fh.write(
-            "# fit "
-            + _kv(
-                {
-                    "slope": result.slope,
-                    "intercept": result.intercept,
-                    "r_squared": result.r_squared,
-                }
-            )
-            + "\n"
-        )
-        fh.write("# " + _kv({"alpha": result.alpha, "complete": result.complete}) + "\n")
+    stamp = _stamp(
+        law=law_label(cfg.law),
+        k=cfg.k,
+        n_grid=n_grid_label(cfg.n_grid),
+        reps=cfg.reps,
+        grid_step_divisor=GRID_STEP_DIVISOR,
+        alpha="auto" if cfg.alpha is None else cfg.alpha,
+        seed=cfg.master_seed,
+    )
+    header = ("n", "mean_J", "median_J", "q90_J", "exceedance", "J1", "J2", "J3", "J4")
+    fields = ("n", "mean_j", "median_j", "q90_j", "exceedance", "mean_j1", "mean_j2", "mean_j3", "mean_j4")
+    columns = [[getattr(row, f) for row in result.rows] for f in fields]
+    footer = [
+        "fit " + _kv({"slope": result.slope, "intercept": result.intercept, "r_squared": result.r_squared}),
+        _kv({"alpha": result.alpha, "complete": result.complete}),
+    ]
+    _write_table(file, stamp, header, [columns], footer)
 
 
 def write_trace_csv(file, trace, law, k, seed) -> None:
     """Per-replication sup distances, one column per scale, fractions in the
     footer."""
-    with _open(file) as fh:
-        fh.write(f"# renewalbm {__version__}\n")
-        fh.write(
-            "# config "
-            + _kv(
-                {
-                    "law": law_label(law),
-                    "k": k,
-                    "n_grid": ",".join(str(n) for n in trace.n_grid),
-                    "reps": trace.j.shape[0],
-                    "seed": seed,
-                }
-            )
-            + "\n"
-        )
-        fh.write("rep," + ",".join(f"J_n{n}" for n in trace.n_grid) + "\n")
-        _write_columns(fh, np.arange(trace.j.shape[0]), *trace.j.T)
-        fh.write(
-            "# "
-            + _kv(
-                {
-                    "frac_monotone": trace.frac_monotone,
-                    "frac_final_below_first": trace.frac_final_below_first,
-                }
-            )
-            + "\n"
-        )
+    reps = trace.j.shape[0]
+    stamp = _stamp(law=law_label(law), k=k, n_grid=n_grid_label(trace.n_grid), reps=reps, seed=seed)
+    header = ["rep", *(f"J_n{n}" for n in trace.n_grid)]
+    footer = [_kv({"frac_monotone": trace.frac_monotone, "frac_final_below_first": trace.frac_final_below_first})]
+    _write_table(file, stamp, header, [(np.arange(reps), *trace.j.T)], footer)
 
 
 def write_summary(file, items: dict) -> None:

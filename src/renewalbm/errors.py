@@ -1,8 +1,9 @@
 """Exception types and the allocation budget shared across the package."""
 
 # Largest array of float64 values the simulators may create, in bytes. Grid
-# walks and renewal event arrays are checked against it before they are
-# allocated, so a too-large request fails fast instead of exhausting memory.
+# walks, exact realization arrays and renewal event arrays are checked
+# against it before they are allocated, so a too-large request fails fast
+# with BudgetError instead of exhausting memory.
 ALLOC_BUDGET_BYTES = 1 << 30
 
 
@@ -26,12 +27,8 @@ class UnsupportedModeError(ValueError):
     """The requested measurement mode is unavailable for this realization."""
 
 
-class CapacityError(RuntimeError):
-    """A renewal path's event array would exceed the allocation budget."""
-
-
 class BudgetError(RuntimeError):
-    """A walk array would exceed the allocation budget."""
+    """An array would exceed the allocation budget."""
 
 
 class NumericError(ArithmeticError):
@@ -46,10 +43,10 @@ class UsageError(ValueError):
     """Invalid command line or config file input."""
 
 
-def check_budget(points, what: str, error: type[RuntimeError] = BudgetError) -> None:
-    """Raise error unless an array of points float64 values fits the budget."""
+def check_budget(points, what: str) -> None:
+    """Raise BudgetError unless an array of points float64 values fits the budget."""
     if 8 * points > ALLOC_BUDGET_BYTES:
-        raise error(
+        raise BudgetError(
             f"{what} of {points:,.0f} points needs {8 * points:,.0f} bytes, "
             f"past the {ALLOC_BUDGET_BYTES:,}-byte allocation budget"
         )

@@ -19,9 +19,9 @@ element, after the first term below the tolerance at that element's own t:
 a value does not depend on the other values of its call, so a draw does not
 depend on its block.
 
-Sampling inverts F to absolute tolerance 1e-10 in probability: a start
-interpolated in a forward table of F, built once at import, then Newton steps
-on the exit density f = F', safeguarded by bisection inside the table
+Sampling inverts F to absolute tolerance PROB_TOL = 1e-10 in probability: a
+start interpolated in a forward table of F, built once at import, then Newton
+steps on the exit density f = F', safeguarded by bisection inside the table
 bracket. A draw is returned only once its evaluated F is within the
 tolerance of its uniform.
 
@@ -43,6 +43,9 @@ from .errors import NumericError, ParameterError, check_budget
 
 SERIES_SWITCH_T = 0.05
 SERIES_TERM_TOL = 1e-12
+# Probability tolerance of every exact draw; above the series' own truncation
+# error, so it can be verified.
+PROB_TOL = 1e-10
 _PI2_OVER_8 = math.pi * math.pi / 8.0
 _UPPER_BRACKET = 40.0  # survival(40) ~ 5e-22, below the resolution of float-uniform draws
 _SPECTRAL_TERMS = 400  # t = 0.05 needs 12
@@ -184,34 +187,27 @@ _INVERT_BLOCK = 1 << 12
 _MAX_PASSES = 64  # bisection alone needs under 30 inside one table cell
 
 
-def _check_prob_tol(prob_tol: float) -> None:
-    # Below the series' own truncation error no tolerance can be verified.
-    if not SERIES_TERM_TOL < prob_tol < 1.0:
-        raise ParameterError(f"prob_tol={prob_tol!r} must lie in ({SERIES_TERM_TOL!r}, 1)")
-
-
-def invert_unit_cdf(u: np.ndarray, *, prob_tol: float = 1e-10) -> np.ndarray:
+def invert_unit_cdf(u: np.ndarray) -> np.ndarray:
     """Solve unit_exit_cdf(t) = u elementwise, t > 0.
 
     Each draw starts from linear interpolation in the forward table and takes
     Newton steps on the exit density; a step that leaves the current bracket
     is replaced by its midpoint, and every evaluation shrinks the bracket. A
-    draw is done when its evaluated |unit_exit_cdf(t) - u| <= prob_tol, so
+    draw is done when its evaluated |unit_exit_cdf(t) - u| <= PROB_TOL, so
     every returned draw carries distribution-function error at most
-    prob_tol; NumericError if one misses it within _MAX_PASSES evaluations.
+    PROB_TOL; NumericError if one misses it within _MAX_PASSES evaluations.
     Draws are solved in blocks of _INVERT_BLOCK to bound the temporaries.
     """
-    _check_prob_tol(prob_tol)
     u = np.asarray(u, dtype=float)
     flat = u.ravel()
     out = np.empty(flat.shape)
     for start in range(0, flat.size, _INVERT_BLOCK):
         stop = start + _INVERT_BLOCK
-        out[start:stop] = _invert_block(flat[start:stop], prob_tol)
+        out[start:stop] = _invert_block(flat[start:stop])
     return out.reshape(u.shape)
 
 
-def _invert_block(u: np.ndarray, prob_tol: float) -> np.ndarray:
+def _invert_block(u: np.ndarray) -> np.ndarray:
     hi_idx = np.clip(np.searchsorted(_TABLE_F, u, side="right"), 1, _TABLE_F.size - 1)
     lo, hi = _TABLE_T[hi_idx - 1], _TABLE_T[hi_idx]
     flo, fhi = _TABLE_F[hi_idx - 1], _TABLE_F[hi_idx]
@@ -222,7 +218,7 @@ def _invert_block(u: np.ndarray, prob_tol: float) -> np.ndarray:
     active = np.arange(u.size)
     for _ in range(_MAX_PASSES):
         ft = unit_exit_cdf(t)
-        done = np.abs(ft - u) <= prob_tol
+        done = np.abs(ft - u) <= PROB_TOL
         out[active[done]] = t[done]
         keep = ~done
         if not keep.any():
@@ -237,13 +233,7 @@ def _invert_block(u: np.ndarray, prob_tol: float) -> np.ndarray:
     raise NumericError("exit-time inversion did not reach the probability tolerance")
 
 
-def sample_first_exit(
-    a: float,
-    rng: np.random.Generator,
-    size: int | None = None,
-    *,
-    prob_tol: float = 1e-10,
-):
+def sample_first_exit(a: float, rng: np.random.Generator, size: int | None = None):
     """Exact draws (tau, sign) of the first exit of BM from [-a, a].
 
     tau = a**2 * tau_1 by Brownian scaling; the exit side is an independent
@@ -251,9 +241,8 @@ def sample_first_exit(
     """
     if not a > 0:
         raise ParameterError(f"interval half-width must be positive, got {a!r}")
-    _check_prob_tol(prob_tol)
     m = 1 if size is None else int(size)
-    tau = (a * a) * invert_unit_cdf(rng.random(m), prob_tol=prob_tol)
+    tau = (a * a) * invert_unit_cdf(rng.random(m))
     sign = rng.integers(0, 2, m) * 2 - 1
     if size is None:
         return float(tau[0]), int(sign[0])

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    CapacityError,
     DomainError,
     InputError,
     ParameterError,
@@ -110,7 +109,7 @@ def sample_renewal_path(
     """Simulate one renewal path on [0, horizon].
 
     Before each block of jumps is drawn, the event count it would bring the
-    path to is checked against errors.ALLOC_BUDGET_BYTES (CapacityError), so
+    path to is checked against errors.ALLOC_BUDGET_BYTES (BudgetError), so
     nothing past it is allocated; the first block holds the expected count
     horizon/mean_step plus six standard deviations. Draw order is fixed
     (initial flip, jump blocks, arrival flips) so equal seeds give identical
@@ -128,7 +127,7 @@ def sample_renewal_path(
         running = 0.0
         block = max(64, int(expected + 6.0 * math.sqrt(expected + 1.0) + 16))
         while True:
-            check_budget(total + block, "renewal event array", CapacityError)
+            check_budget(total + block, "renewal event array")
             jumps = sample_jumps(law, rng, block)
             partial = running + np.cumsum(jumps)
             scaled = schedule.time_scale * partial

@@ -64,6 +64,9 @@ def test_usage_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["rate", "--n-grid", "4,8", "--reps", "2", "--workers", "0", "--out", str(tmp_path)]) == 2
     assert "workers must be positive" in capsys.readouterr().err
+    # argparse shows the n_grid parser's own message
+    assert main(["rate", "--n-grid", "4,x", "--out", str(tmp_path)]) == 2
+    assert "argument --n-grid: must be comma-separated integers, got '4,x'" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -217,6 +220,13 @@ def test_config_file_merge_and_override(tmp_path, capsys):
     cfg.write_text("n = 6\nengine = fancy\n", encoding="utf-8")
     assert main(["couple", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "fancy" in capsys.readouterr().err
+    # a value its type cannot convert is reported under its key
+    cfg.write_text("n = 6\nk = abc\n", encoding="utf-8")
+    assert main(["simulate-path", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "config key 'k': could not convert string to float: 'abc'" in capsys.readouterr().err
+    cfg.write_text("n_grid = 4,x\n", encoding="utf-8")
+    assert main(["trace", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "config key 'n_grid': must be comma-separated integers, got '4,x'" in capsys.readouterr().err
     cfg.write_text("n = 6\nexport_grid_path = yes\n", encoding="utf-8")
     assert main(["couple", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "grid_path.csv").exists()

@@ -170,8 +170,9 @@ def test_dense_floats_render_as_repr():
 
 
 # sha256 and size of files written by commit 34dc84f, the last commit that
-# rendered each cell with repr; any change to these bytes is a change of
-# draws or of format
+# rendered each cell with repr (gof_summary.txt: by commit 1b82eca, before
+# the table layout moved into one writer); any change to these bytes is a
+# change of draws or of format
 _PINNED = [
     (["couple", "--engine", "exact", "--n", "64", "--seed", "11"], {
         "realization.csv": ("cf412116f27df3152f235d35bea745c67e795d17c9680776d04302bf1e63369c", 662474)}),
@@ -185,6 +186,8 @@ _PINNED = [
         "rate_summary.txt": ("8ff2ca1d541246bb6e6223dc42075087e5f71023d6c6ad720542d7ba570d09c5", 390)}),
     (["trace", "--n-grid", "4,8", "--reps", "6", "--seed", "15"], {
         "trace.csv": ("4d82ec90178b07bf7f0faf56ebed5da4f2517f6fda7510f88c3abd951f27f6b0", 405)}),
+    (["gof", "--n", "8", "--reps", "200", "--seed", "16"], {
+        "gof_summary.txt": ("a105e78a393a69f5e348a2e6d9461e945ecacf37ebb2beb543f757b623549541", 261)}),
 ]
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import renewalbm.errors
 from renewalbm.errors import (
-    CapacityError,
+    BudgetError,
     DomainError,
     InputError,
     ParameterError,
@@ -85,11 +85,11 @@ def test_zero_and_negative_horizon():
 def test_capacity_cap(monkeypatch):
     sched = scaling_constants(uniform01(), 2.0, 10)
     monkeypatch.setattr(renewalbm.errors, "ALLOC_BUDGET_BYTES", 8 * 50)
-    with pytest.raises(CapacityError, match="allocation budget"):
+    with pytest.raises(BudgetError, match="allocation budget"):
         sample_renewal_path(uniform01(), sched, 1.0, np.random.default_rng(2))
     # 200 events expected at n = 10, but the first block draws 301
     monkeypatch.setattr(renewalbm.errors, "ALLOC_BUDGET_BYTES", 8 * 300)
-    with pytest.raises(CapacityError, match="renewal event array of 301 points"):
+    with pytest.raises(BudgetError, match="renewal event array of 301 points"):
         sample_renewal_path(uniform01(), sched, 1.0, np.random.default_rng(2))
     monkeypatch.setattr(renewalbm.errors, "ALLOC_BUDGET_BYTES", 8 * 301)
     path = sample_renewal_path(uniform01(), sched, 1.0, np.random.default_rng(2))
