@@ -19,11 +19,14 @@ element, after the first term below the tolerance at that element's own t:
 a value does not depend on the other values of its call, so a draw does not
 depend on its block.
 
-Sampling inverts F to absolute tolerance PROB_TOL = 1e-10 in probability: a
-start interpolated in a forward table of F, built once at import, then Newton
-steps on the exit density f = F', safeguarded by bisection inside the table
-bracket. A draw is returned only once its evaluated F is within the
-tolerance of its uniform.
+Sampling inverts F to absolute tolerance PROB_TOL = 1e-10 in probability.
+A forward table of F and f, built once at import, gives each uniform its
+cell through a guide table (Chen & Asau 1974) and a start by cubic Hermite
+interpolation of the inverse in that cell, which is within about 1e-12 of
+its uniform; one evaluation of F then accepts almost every draw. A draw that
+misses takes Newton steps on the exit density f = F', safeguarded by
+bisection inside the table bracket. A draw is returned only once its
+evaluated F is within the tolerance of its uniform.
 
 The grid walker grid_exit observes a discrete N(0, h) random walk instead;
 its exit time is biased upward by O(sqrt(h)) because excursions between grid
@@ -173,7 +176,9 @@ def unit_exit_density(t):
 
 # Forward table of F on 0 and a geometric ladder up to the upper bracket,
 # built once at import; read-only. F(5e-3) ~ 4e-45, so the first cell holds
-# every uniform below it.
+# every uniform below it. Cell k, 1 <= k < 4096, brackets the u with
+# _TABLE_F[k - 1] <= u < _TABLE_F[k] by [_TABLE_T[k - 1], _TABLE_T[k]]; u = 1
+# falls in the last cell.
 _TABLE_T = np.concatenate([[0.0], np.geomspace(5e-3, _UPPER_BRACKET, 4095)])
 _TABLE_F = unit_exit_cdf(_TABLE_T)
 _TABLE_F[-1] = 1.0
@@ -181,22 +186,97 @@ _TABLE_T.flags.writeable = False
 _TABLE_F.flags.writeable = False
 # Start for u = 0; every u > 0 interpolates above it.
 _T_FLOOR = np.finfo(float).tiny
-# Draws per block: bounds the Newton temporaries (32 KB each) so they stay in
-# cache; a draw's bits do not depend on it.
+# Draws per block: bounds the temporaries (32 KB per value a draw carries) so
+# they stay in cache; a draw's bits do not depend on it.
 _INVERT_BLOCK = 1 << 12
 _MAX_PASSES = 64  # bisection alone needs under 30 inside one table cell
+_GUIDE_BINS = 1 << 16
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _searched_cell(u: np.ndarray) -> np.ndarray:
+    return np.clip(np.searchsorted(_TABLE_F, u, side="right"), 1, _TABLE_F.size - 1)
+
+
+def _guide_table():
+    # Guide table (Chen & Asau 1974) over 2**16 equal bins of u: the cell of
+    # each bin's lower edge, the node past which a u of the bin lies in the
+    # next cell, and a flag on the bins whose u span more than two cells.
+    edges = np.arange(_GUIDE_BINS) / _GUIDE_BINS
+    tops = np.append(np.nextafter(edges[1:], 0.0), 1.0)  # the last bin also holds u = 1
+    first, last = _searched_cell(edges), _searched_cell(tops)
+    split = np.where(first < _TABLE_F.size - 1, _TABLE_F[first], np.inf)
+    return _read_only(first), _read_only(split), _read_only(last > first + 1)
+
+
+_GUIDE_CELL, _GUIDE_SPLIT, _GUIDE_MANY = _guide_table()
+
+
+def _cell_rows() -> np.ndarray:
+    # Row k holds cell k's bracket (t0, t1) and its cubic Hermite
+    # interpolation of the inverse t(u) in x = (u - u0) / du on [0, 1],
+    # t = t0 + x (c1 + x (c2 + x c3)), with node slopes dt/dx = du / f(t_i):
+    # (t0, t1, u0, 1 / du, c1, c2, c3). Where the cubic is not finite (f(0) =
+    # 0 in the first cell; du = 0 where F has rounded to 1) its five entries
+    # are NaN, so the cell's draws take the linear start.
+    f = unit_exit_density(_TABLE_T)
+    du, dt = np.diff(_TABLE_F), np.diff(_TABLE_T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m0, m1, inv_du = du / f[:-1], du / f[1:], 1.0 / du
+    cubic = np.column_stack([_TABLE_F[:-1], inv_du, m0, 3.0 * dt - 2.0 * m0 - m1, m0 + m1 - 2.0 * dt])
+    cubic[~np.isfinite(cubic).all(axis=1)] = np.nan
+    rows = np.column_stack([_TABLE_T[:-1], _TABLE_T[1:], cubic])
+    return _read_only(np.vstack([np.full(7, np.nan), rows]))  # no cell 0
+
+
+_CELL_ROWS = _cell_rows()
+
+
+def _table_cell(u: np.ndarray) -> np.ndarray:
+    """The table cell of each u, equal to _searched_cell(u): one guide-table
+    compare, or a search in the few bins that span more than two cells."""
+    b = (u * _GUIDE_BINS).astype(np.intp)
+    np.clip(b, 0, _GUIDE_BINS - 1, out=b)  # u = 1 joins the last bin
+    cell = _GUIDE_CELL[b] + (u >= _GUIDE_SPLIT[b])
+    many = np.flatnonzero(_GUIDE_MANY[b])
+    if many.size:
+        cell[many] = _searched_cell(u[many])
+    return cell
+
+
+def _table_start(u: np.ndarray):
+    """Start t and table bracket (lo, hi) of each u: the cubic Hermite start
+    in its cell, or the linear one where the cubic is not finite or leaves
+    the bracket."""
+    cell = _table_cell(u)
+    rows = np.take(_CELL_ROWS, cell, axis=0)
+    lo, hi = rows[:, 0], rows[:, 1]
+    x = (u - rows[:, 2]) * rows[:, 3]
+    t = lo + x * (rows[:, 4] + x * (rows[:, 5] + x * rows[:, 6]))
+    off = np.flatnonzero(~((t >= lo) & (t <= hi)))  # NaN too
+    if off.size:
+        flo, fhi = _TABLE_F[cell[off] - 1], _TABLE_F[cell[off]]
+        frac = np.divide(u[off] - flo, fhi - flo, out=np.full(off.size, 0.5), where=fhi > flo)
+        t[off] = lo[off] + frac * (hi[off] - lo[off])
+    return np.maximum(t, _T_FLOOR), lo, hi  # u = 0 interpolates to t = 0
 
 
 def invert_unit_cdf(u: np.ndarray) -> np.ndarray:
-    """Solve unit_exit_cdf(t) = u elementwise, t > 0.
+    """Solve unit_exit_cdf(t) = u elementwise for uniforms u in [0, 1], t > 0.
 
-    Each draw starts from linear interpolation in the forward table and takes
-    Newton steps on the exit density; a step that leaves the current bracket
-    is replaced by its midpoint, and every evaluation shrinks the bracket. A
-    draw is done when its evaluated |unit_exit_cdf(t) - u| <= PROB_TOL, so
-    every returned draw carries distribution-function error at most
-    PROB_TOL; NumericError if one misses it within _MAX_PASSES evaluations.
-    Draws are solved in blocks of _INVERT_BLOCK to bound the temporaries.
+    Each draw starts from cubic Hermite interpolation of the inverse in its
+    cell of the forward table, found through a guide table, and is accepted
+    when the one evaluation there has |unit_exit_cdf(t) - u| <= PROB_TOL,
+    which is almost every draw. A miss takes Newton steps on the exit
+    density; a step that leaves the current bracket is replaced by its
+    midpoint, and every evaluation shrinks the bracket. So every returned
+    draw carries distribution-function error at most PROB_TOL; NumericError
+    if one misses it within _MAX_PASSES evaluations. Draws are solved in
+    blocks of _INVERT_BLOCK to bound the temporaries.
     """
     u = np.asarray(u, dtype=float)
     flat = u.ravel()
@@ -208,12 +288,7 @@ def invert_unit_cdf(u: np.ndarray) -> np.ndarray:
 
 
 def _invert_block(u: np.ndarray) -> np.ndarray:
-    hi_idx = np.clip(np.searchsorted(_TABLE_F, u, side="right"), 1, _TABLE_F.size - 1)
-    lo, hi = _TABLE_T[hi_idx - 1], _TABLE_T[hi_idx]
-    flo, fhi = _TABLE_F[hi_idx - 1], _TABLE_F[hi_idx]
-    frac = np.divide(u - flo, fhi - flo, out=np.full(u.shape, 0.5), where=fhi > flo)
-    t = lo + frac * (hi - lo)
-    t = np.maximum(t, _T_FLOOR)  # u = 0 interpolates to t = 0
+    t, lo, hi = _table_start(u)
     out = np.empty(u.shape)
     active = np.arange(u.size)
     for _ in range(_MAX_PASSES):

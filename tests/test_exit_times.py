@@ -12,6 +12,7 @@ import renewalbm.errors
 import renewalbm.exit_times
 from renewalbm.errors import BudgetError, NumericError, ParameterError
 from renewalbm.exit_times import (
+    _GUIDE_BINS,
     _TABLE_F,
     _UPPER_BRACKET,
     SERIES_SWITCH_T,
@@ -19,6 +20,7 @@ from renewalbm.exit_times import (
     _cdf_small_t,
     _density_large_t,
     _density_small_t,
+    _table_cell,
     first_crossing,
     grid_exit,
     invert_unit_cdf,
@@ -153,11 +155,81 @@ def test_inversion_keeps_shape_and_blocks(monkeypatch):
         assert np.all(np.abs(unit_exit_cdf(blocked) - unit_exit_cdf(whole)) <= 2e-10)
 
 
+def _midpoint_start(monkeypatch):
+    # every draw starts at the middle of its table cell, which misses the
+    # tolerance, so the inversion must go on past its first evaluation
+    table_start = renewalbm.exit_times._table_start
+
+    def start(u):
+        _, lo, hi = table_start(u)
+        return 0.5 * (lo + hi), lo, hi
+
+    monkeypatch.setattr(renewalbm.exit_times, "_table_start", start)
+
+
 def test_inversion_raises_past_the_pass_bound(monkeypatch):
-    # interpolated starts miss the tolerance, so one evaluation cannot do
+    _midpoint_start(monkeypatch)
+    u = np.linspace(0.1, 0.9, 9)
+    t, _, _ = renewalbm.exit_times._table_start(u)
+    assert np.all(np.abs(unit_exit_cdf(t) - u) > 1e-10)
     monkeypatch.setattr(renewalbm.exit_times, "_MAX_PASSES", 1)
     with pytest.raises(NumericError):
-        invert_unit_cdf(np.linspace(0.1, 0.9, 9))
+        invert_unit_cdf(u)
+
+
+def _counted_cdf(monkeypatch):
+    # counts the values unit_exit_cdf is evaluated at, as bench/tracing.py does
+    evals = [0]
+
+    def cdf(t):
+        evals[0] += np.size(t)
+        return unit_exit_cdf(t)
+
+    monkeypatch.setattr(renewalbm.exit_times, "unit_exit_cdf", cdf)
+    return evals
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+def test_newton_fallback_meets_the_tolerance(u):
+    # the draws the cubic start would accept at once, sent through the
+    # Newton and bisection passes instead
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _midpoint_start(monkeypatch)
+        evals = _counted_cdf(monkeypatch)
+        _check_inversion(u + [0.1, 0.5, 0.9])
+        assert evals[0] >= len(u) + 2 * 3  # the last three took a second pass
+
+
+def test_one_evaluation_per_draw(monkeypatch):
+    evals = _counted_cdf(monkeypatch)
+    u = np.random.default_rng(17).random(1 << 16)
+    t = invert_unit_cdf(u)
+    assert evals[0] <= 1.01 * u.size
+    assert np.all(np.abs(unit_exit_cdf(t) - u) <= 1e-10)
+
+
+def _check_cells(u):
+    u = np.asarray(u, dtype=float)
+    want = np.clip(np.searchsorted(_TABLE_F, u, "right"), 1, _TABLE_F.size - 1)
+    assert np.array_equal(_table_cell(u), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+def test_guide_table_cells_are_the_searched_cells(u):
+    _check_cells(u)
+
+
+def test_guide_table_cells_at_nodes_and_bin_edges():
+    edges = np.arange(_GUIDE_BINS + 1) / _GUIDE_BINS
+    _check_cells([0.0, 1.0])
+    _check_cells(_TABLE_F)
+    _check_cells(np.nextafter(_TABLE_F, 0.0))
+    _check_cells(np.nextafter(_TABLE_F[:-1], 1.0))
+    _check_cells(edges)
+    _check_cells(np.nextafter(edges[1:], 0.0))
+    _check_cells(np.nextafter(edges[:-1], 1.0))
 
 
 def test_density_matches_central_difference():
