@@ -28,6 +28,12 @@ sign * xi (preserving duration ~ U(0, n**-k) for uniform jumps, the
 distributional identity the construction guarantees) while the walk itself
 is kept as simulated. The resulting skeleton/path mismatch is measured per
 realization and carried as part of the decomposition slack.
+
+Grid sup: sup_distance is the grid engine's oracle for the sup over [0, 1].
+It bounds each transport segment's gaps from its knots and the walk's
+extrema over the segment, and evaluates point by point only the few
+segments whose bound reaches the gaps already seen. The result is that of
+evaluating every grid time, to the last bit.
 """
 
 from __future__ import annotations
@@ -55,9 +61,11 @@ GRID_STEP_DIVISOR = 1000
 # Glasserman & Kou, Math. Finance 1997). Scanning for level - shift * sqrt(h)
 # lands detected exits on the level instead of late.
 BGK_SHIFT = 0.5825971579390107
-# Grid points per block in sup_distance and in _build_grid's initial walk:
-# a block's temporaries stay in cache.
+# Grid points per block of _build_grid's initial walk: a block's
+# increments stay in cache.
 SUP_BLOCK = 1 << 16
+# Relative margin on sup_distance's per-segment gap bounds.
+SUP_MARGIN = 1e-12
 # Embedding steps per block of the exact engine: its memory does not grow
 # with n.
 EXACT_BLOCK = 1 << 16
@@ -298,43 +306,41 @@ def _build_grid(law, schedule, rng, h):
         walk = np.concatenate([walk, walk[-1] + np.cumsum(more)])
 
     ext_block = max(est // 4, 1024)
-    levels_buf = np.empty(0)
-    levels_used = 0
-    steps, signs, levels_out = [], [], []
-    cursor = 0
+    parts = []
+    exits = [0]
     clock = 0.0
     count = 0
     first_cover = None
     while True:
-        if levels_used == len(levels_buf):
-            levels_buf = sample_exit_level(law, schedule, rng, _batch_size(target, count))
-            levels_used = 0
-        level = float(levels_buf[levels_used])
-        levels_used += 1
+        batch = sample_exit_level(law, schedule, rng, _batch_size(target, count))
+        # The transport clock after each step, summed left to right from the
+        # carry, and from it the step at which the build stops.
+        clocks = _running_sum(schedule.normalizer * batch, clock)
+        if first_cover is None and clocks[-1] >= 1.0:
+            first_cover = count + int(np.argmax(clocks >= 1.0)) + 1
+        if first_cover is not None:
+            batch = batch[: max(target, first_cover + 2) - count]
+        count += len(batch)
+        clock = float(clocks[len(batch) - 1])
+        parts.append(batch)
         # A level below the correction gives a barrier <= 0: exit on the next step.
-        barrier = level - BGK_SHIFT * sqrt_h
-        chunk = min(65536, max(64, int(3.0 * level * level / h) + 16))
-        while True:
-            j = first_crossing(walk, cursor, barrier, chunk=chunk)
-            if j >= 0:
-                break
-            extend(ext_block)
-        signs.append(1 if walk[j] - walk[cursor] > 0 else -1)
-        steps.append(j - cursor)
-        levels_out.append(level)
-        cursor = j
-        clock += schedule.normalizer * level
-        count += 1
-        if first_cover is None and clock >= 1.0:
-            first_cover = count
+        barriers = (batch - BGK_SHIFT * sqrt_h).tolist()
+        # min(65536, max(64, int(3 level^2 / h) + 16)), capped before the
+        # cast so that no level overflows int64.
+        chunks = np.minimum(3.0 * batch * batch / h, 65536.0).astype(np.int64) + 16
+        for barrier, chunk in zip(barriers, np.clip(chunks, 64, 65536).tolist()):
+            j = first_crossing(walk, exits[-1], barrier, chunk=chunk)
+            while j < 0:
+                extend(ext_block)
+                j = first_crossing(walk, exits[-1], barrier, chunk=chunk)
+            exits.append(j)
         if _enough_steps(count, target, first_cover):
             break
 
-    levels = np.asarray(levels_out)
-    signs_arr = np.asarray(signs, dtype=np.int64)
-    step_counts = np.asarray(steps, dtype=np.int64)
-    bm_index = np.concatenate([[0], np.cumsum(step_counts)])
-    sigmas = step_counts * h
+    levels = np.concatenate(parts)
+    bm_index = np.asarray(exits, dtype=np.int64)
+    signs_arr = np.where(walk[bm_index[1:]] - walk[bm_index[:-1]] > 0, 1, -1).astype(np.int64)
+    sigmas = np.diff(bm_index) * h
 
     real = _assemble(
         law, schedule, "grid", [_step_block(schedule, 0, levels, signs_arr, sigmas, None)],
@@ -424,44 +430,64 @@ def _grid_horizon_index(grid: GridPath) -> int:
 def sup_distance(real: CoupledRealization, mode: str = "grid") -> float:
     """Largest |transport - Brownian| gap over [0, 1].
 
-    mode="grid", the only mode, scans every grid time t_i = i * h at or
-    before 1 and evaluates there the expression value_at uses,
-    skeleton + sign * (t - Gamma) / normalizer - w. Rather than search each
-    of the N grid times among the M transport knots (N log M, then three
-    gathers at N indices), it finds for each of the M - 1 interior knots the
-    first grid index at or past it: segment m owns the grid times in
-    [Gamma_m, Gamma_{m+1}), which is the segment value_at picks, also for a
-    knot on a grid time and for a zero-length segment. The grid times and
-    the knot arrays spread over them with np.repeat are built one block of
-    SUP_BLOCK points at a time, so no temporary grows with the grid and the
-    sup equals value_at's to the last bit.
+    mode="grid", the only mode, takes the gap at every grid time t_i = i * h
+    at or before 1 with the expression value_at uses,
+    skeleton + sign * (t - Gamma) / normalizer - w, so the sup equals
+    value_at's to the last bit. Segment m owns the grid times in
+    [Gamma_m, Gamma_{m+1}), the segment value_at picks, also for a knot on a
+    grid time and for a zero-length segment; its first grid index is found
+    per interior knot, not per grid time.
+
+    Most segments cannot hold the sup, so not every grid time is evaluated.
+    On its grid times a segment's transport values lie between its skeleton
+    value and the value at its last grid time, and its walk values between
+    the walk's extrema there (one maximum.reduceat and one minimum.reduceat),
+    which bounds its gaps. The gaps at every segment's first grid time give a
+    lower bound on the sup, and only the segments whose bound reaches it are
+    evaluated point by point, gathered in one pass.
     """
     grid = _require_grid(real)
     if mode != "grid":
         raise UnsupportedModeError(f"unknown mode {mode!r}")
     h = grid.step
     size = _grid_horizon_index(grid) + 1
-    # starts[m] is the first grid index of segment m; the builders leave
-    # Gamma_M > 1 >= t, so the last segment runs to the horizon.
+    w = grid.values[:size]
+    # Segment m owns grid indices [starts[m], ends[m]); the builders leave
+    # Gamma_M > 1 >= t, so the last segment runs to the horizon. Empty
+    # segments are dropped, so the kept starts rise strictly from 0.
     m = real.n_steps
     starts = np.concatenate([[0], _first_grid_index(real.path_times[1:m], h, size)])
-    w = grid.values
+    ends = np.append(starts[1:], size)
+    seg = np.flatnonzero(starts < ends)
+    first, last = starts[seg], ends[seg] - 1
     norm = real.schedule.normalizer
-    best = 0.0
-    for a in range(0, size, SUP_BLOCK):
-        b = min(a + SUP_BLOCK, size)
-        lo = int(np.searchsorted(starts, a, side="right")) - 1
-        hi = int(np.searchsorted(starts, b, side="left"))
-        counts = np.diff(np.append(np.clip(starts[lo:hi], a, b), b))
-        gap = np.arange(a, b, dtype=float)
-        gap *= h
-        gap -= np.repeat(real.path_times[lo:hi], counts)
-        gap *= np.repeat(real.signs[lo:hi], counts)
-        gap /= norm
-        gap += np.repeat(real.skeleton[lo:hi], counts)
-        gap -= w[a:b]
-        best = max(best, float(np.abs(gap, out=gap).max()))
-    return best
+    knots = real.path_times[seg], real.signs[seg], real.skeleton[seg]
+
+    best = float(np.abs(_transport_at(first, h, norm, *knots) - w[first]).max())
+    # Every operation of the expression rounds monotonically, so the computed
+    # gaps of a segment already lie inside its computed bound; the margin
+    # keeps a segment within rounding of best open all the same.
+    skel, end = knots[2], _transport_at(last, h, norm, *knots)
+    w_hi, w_lo = np.maximum.reduceat(w, first), np.minimum.reduceat(w, first)
+    bound = np.maximum(np.maximum(skel, end) - w_lo, w_hi - np.minimum(skel, end))
+    open_ = np.flatnonzero(bound * (1.0 + SUP_MARGIN) >= best)
+    # Every grid index of the open segments, each with its segment's knots.
+    counts = last[open_] - first[open_] + 1
+    i = np.arange(counts.sum()) + np.repeat(first[open_] - (np.cumsum(counts) - counts), counts)
+    gap = _transport_at(i, h, norm, *(np.repeat(x[open_], counts) for x in knots))
+    gap -= w[i]
+    return float(np.abs(gap, out=gap).max(initial=best))
+
+
+def _transport_at(i, h, norm, gamma, sign, skel):
+    # value_at's expression at grid indices i, in value_at's order of
+    # operations: skel + sign * (i * h - gamma) / norm.
+    x = i * h
+    x -= gamma
+    x *= sign
+    x /= norm
+    x += skel
+    return x
 
 
 def _first_grid_index(x, h, size):

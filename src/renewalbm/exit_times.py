@@ -355,16 +355,17 @@ def first_crossing(values: np.ndarray, start: int, level: float, *, chunk: int =
     """First index j > start with |values[j] - values[start]| >= level, else -1.
 
     Scans in chunks so the cost tracks the actual crossing position instead
-    of the array length.
+    of the array length. A level <= 0 is crossed at start + 1.
     """
     base = values[start]
     i = start + 1
     n = len(values)
     while i < n:
         j = min(i + chunk, n)
-        hits = np.abs(values[i:j] - base) >= level
-        k = int(np.argmax(hits))
+        gap = values[i:j] - base
+        hits = np.abs(gap, out=gap) >= level
+        k = hits.argmax()
         if hits[k]:
-            return i + k
+            return i + int(k)
         i = j
     return -1

@@ -242,7 +242,8 @@ def test_c9_byte_identical_rerun(capsys, campaign, tmp_path):
     first = tmp_path / "first.csv"
     second = tmp_path / "second.csv"
     write_rate_csv(first, campaign)
-    rerun = run_rate_experiment(CAMPAIGN_CFG)
+    # The campaign ran on one worker; results must not depend on the count.
+    rerun = run_rate_experiment(CAMPAIGN_CFG, workers=2)
     write_rate_csv(second, rerun)
     ok = first.read_bytes() == second.read_bytes()
     _verdict(

@@ -13,6 +13,7 @@ import renewalbm.coupling
 import renewalbm.errors
 from renewalbm.coupling import (
     BGK_SHIFT,
+    SUP_BLOCK,
     CoupledRealization,
     GridPath,
     build_coupled_realization,
@@ -215,6 +216,45 @@ def _value_at_sup(real):
     return float(np.abs(real.value_at(t) - real.grid.values[: i_max + 1]).max())
 
 
+def _blockwise_sup(real, block=SUP_BLOCK):
+    # the formulation sup_distance had before it pruned segments: every grid
+    # time evaluated, one block of points at a time, kept as the reference
+    grid = real.grid
+    h = grid.step
+    size = _grid_horizon_index(grid) + 1
+    m = real.n_steps
+    starts = np.concatenate([[0], _first_grid_index(real.path_times[1:m], h, size)])
+    w = grid.values
+    norm = real.schedule.normalizer
+    best = 0.0
+    for a in range(0, size, block):
+        b = min(a + block, size)
+        lo = int(np.searchsorted(starts, a, side="right")) - 1
+        hi = int(np.searchsorted(starts, b, side="left"))
+        counts = np.diff(np.append(np.clip(starts[lo:hi], a, b), b))
+        gap = np.arange(a, b, dtype=float)
+        gap *= h
+        gap -= np.repeat(real.path_times[lo:hi], counts)
+        gap *= np.repeat(real.signs[lo:hi], counts)
+        gap /= norm
+        gap += np.repeat(real.skeleton[lo:hi], counts)
+        gap -= w[a:b]
+        best = max(best, float(np.abs(gap, out=gap).max()))
+    return best
+
+
+def _hand_built(path_times, signs, skeleton, walk, h, n, levels=None):
+    sched = scaling_constants(LAW, 2.0, n)
+    durations = np.diff(path_times)
+    return CoupledRealization(
+        law=LAW, schedule=sched, engine="grid",
+        levels=durations / sched.normalizer if levels is None else levels,
+        signs=np.asarray(signs), exit_times=durations, durations=durations, path_times=path_times,
+        bm_times=path_times, skeleton=np.asarray(skeleton, dtype=float), first_cover=0,
+        grid=GridPath(step=h, values=walk, max_increment=0.0), bm_index=None,
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     points=st.floats(1.0, 400.0),
@@ -241,16 +281,10 @@ def test_sup_distance_matches_value_at_exactly(points, data, block, n):
     skeleton = data.draw(arrays(np.float64, steps + 1, elements=values), label="skeleton")
     extra = data.draw(st.integers(0, 5), label="extra")
     walk = data.draw(arrays(np.float64, i_max + 1 + extra, elements=values), label="walk")
-    sched = scaling_constants(LAW, 2.0, n)
-    durations = np.diff(path_times)
-    real = CoupledRealization(
-        law=LAW, schedule=sched, engine="grid", levels=durations / sched.normalizer,
-        signs=signs, exit_times=durations, durations=durations, path_times=path_times,
-        bm_times=path_times, skeleton=skeleton, first_cover=0,
-        grid=GridPath(step=h, values=walk, max_increment=0.0), bm_index=None,
-    )
-    with mock.patch.object(renewalbm.coupling, "SUP_BLOCK", block):
-        assert sup_distance(real) == _value_at_sup(real)
+    real = _hand_built(path_times, signs, skeleton, walk, h, n)
+    sup = sup_distance(real)
+    assert sup == _value_at_sup(real)
+    assert sup == _blockwise_sup(real, block)
 
 
 @pytest.mark.parametrize("law", [deterministic(1.0), two_point(0.0, 1.0, 0.5)],
@@ -261,7 +295,31 @@ def test_sup_distance_matches_value_at_on_builds(law):
     for n, seed in ((4, 1), (8, 2), (8, 3)):
         sched = scaling_constants(law, 2.0, n)
         real = build_coupled_realization(law, sched, np.random.default_rng(seed))
-        assert sup_distance(real) == _value_at_sup(real)
+        sup = sup_distance(real)
+        assert sup == _value_at_sup(real)
+        assert sup == _blockwise_sup(real)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_sup_distance_matches_the_blockwise_scan_on_builds(n):
+    sched = scaling_constants(LAW, 2.0, n)
+    for rep in range(6 if n < 32 else 3):
+        real = build_coupled_realization(LAW, sched, derived_rng(29, ROLE_RATE, n, rep))
+        assert sup_distance(real) == _blockwise_sup(real)
+
+
+def test_sup_distance_reads_no_levels():
+    # The segment bounds come from the knots, so a realization whose levels
+    # disagree with its knots keeps its sup. Here segment 0 climbs from 0 to
+    # 0.5 / normalizer over a flat walk, far past the gap 0.1 at the first
+    # grid time of segment 1.
+    h = 1e-3
+    path_times = np.array([0.0, 0.5, 1.5])
+    real = _hand_built(path_times, [1, -1], [0.0, 0.1, 0.0], np.zeros(1001), h, 2,
+                       levels=np.zeros(2))
+    want = _blockwise_sup(real)
+    assert want > 1.0
+    assert sup_distance(real) == want
 
 
 def test_grid_engine_bits_are_pinned():
@@ -340,6 +398,31 @@ def test_grid_walk_extension_is_checked(monkeypatch):
     monkeypatch.setattr(renewalbm.errors, "ALLOC_BUDGET_BYTES", 8 * 40625)
     with pytest.raises(BudgetError, match="extended grid walk"):
         build_coupled_realization(LAW, sched, np.random.default_rng(3))
+
+
+@pytest.mark.parametrize("seed, misses", [(13, 2), (3, 0)])
+def test_grid_scan_calls_first_crossing_once_per_step_and_extension(monkeypatch, seed, misses):
+    # The benchmark counts the scan's calls through this module-level name.
+    # At n = 4, seed 13 runs past the initial walk twice; seed 3 never does.
+    calls, extensions = [], []
+    crossing, budget = renewalbm.coupling.first_crossing, renewalbm.coupling.check_budget
+
+    def counted_crossing(*args, **kwargs):
+        calls.append(crossing(*args, **kwargs))
+        return calls[-1]
+
+    def counted_budget(points, what):
+        extensions.append(what == "extended grid walk")
+        return budget(points, what)
+
+    monkeypatch.setattr(renewalbm.coupling, "first_crossing", counted_crossing)
+    monkeypatch.setattr(renewalbm.coupling, "check_budget", counted_budget)
+    real = build_coupled_realization(LAW, scaling_constants(LAW, 2.0, 4), np.random.default_rng(seed))
+    assert sum(j < 0 for j in calls) == misses
+    assert len(calls) == real.n_steps + misses
+    # each miss extends the walk once; one more extension may follow the scan
+    assert sum(extensions) - misses in (0, 1)
+    assert [j for j in calls if j >= 0] == real.bm_index[1:].tolist()
 
 
 def test_exact_stream_stops_past_both_clocks(monkeypatch):
@@ -425,6 +508,7 @@ def test_grid_build_and_sup_hold_about_one_walk():
     finally:
         tracemalloc.stop()
     walk = real.grid.values.nbytes
-    # increments drawn a block at a time, grid times built a block at a time
+    # increments drawn a block at a time, grid times built only in the
+    # segments that can hold the sup
     assert build_peak < 1.25 * walk
     assert sup_peak < 0.25 * walk

@@ -359,6 +359,10 @@ def test_first_crossing_examples():
     assert first_crossing(v, 2, 0.5) == 3  # |0.6 - (-0.2)| = 0.8
     assert first_crossing(v, 0, 2.0) == -1
     assert first_crossing(v, 4, 0.1) == -1
+    # a barrier <= 0 is crossed at the next point, even where the walk is flat
+    assert first_crossing(np.zeros(3), 0, 0.0) == 1
+    assert first_crossing(v, 3, -0.3, chunk=1) == 4
+    assert first_crossing(v, 4, -0.3) == -1
 
 
 def test_first_crossing_chunk_boundaries():
@@ -373,7 +377,8 @@ def test_first_crossing_chunk_boundaries():
 @given(
     steps=st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=300),
     data=st.data(),
-    level=st.floats(0.0, 3.0, allow_nan=False),
+    # the grid engine passes barriers <= 0 for levels below BGK_SHIFT * sqrt(h)
+    level=st.floats(-1.0, 3.0, allow_nan=False),
     chunk=st.integers(1, 64),
 )
 def test_first_crossing_matches_brute_force(steps, data, level, chunk):
