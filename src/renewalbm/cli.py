@@ -5,8 +5,9 @@ choices and help. A key=value config file names options by dest (the flag
 with underscores); each value goes through its option's own type and
 choices, and flags override the file. Unknown keys are rejected. Each
 command writes its artifacts and returns its summary items; main prints them
-after the law's as one line. Exit codes: 0 success, 2 usage, 3 a request
-past the allocation budget or a failed allocation, 1 anything else.
+after the law's as one line. Exit codes: 0 success, 2 bad input
+(errors.InputError, raised where the input enters), 3 a request past the
+allocation budget or a failed allocation, 1 anything else.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .coupling import (
     exact_blocks,
     sup_distance,
 )
-from .errors import BudgetError, UsageError
+from .errors import BudgetError, InputError
 from .experiments import (
     RateExperimentConfig,
     as_trace,
@@ -68,7 +69,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise UsageError(f"expected a boolean, got {text!r}")
+    raise InputError(f"expected a boolean, got {text!r}")
 
 
 def _build_parser():
@@ -133,7 +134,7 @@ def _read_config_file(path: str) -> dict[str, str]:
             if not line:
                 continue
             if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+                raise InputError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, value = line.split("=", 1)
             found[key.strip()] = value.strip()
     return found
@@ -145,9 +146,9 @@ def _config_value(action, text: str):
     try:
         value = _parse_bool(text) if action.nargs == 0 else (action.type or str)(text)
     except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise UsageError(f"config key {action.dest!r}: {exc}") from None
+        raise InputError(f"config key {action.dest!r}: {exc}") from None
     if action.choices is not None and value not in action.choices:
-        raise UsageError(f"{action.dest} must be one of {', '.join(action.choices)}, got {value!r}")
+        raise InputError(f"{action.dest} must be one of {', '.join(action.choices)}, got {value!r}")
     return value
 
 
@@ -165,13 +166,13 @@ def parse_config(argv=None) -> argparse.Namespace:
         values = {}
         for key, text in _read_config_file(args.config).items():
             if key not in options:
-                raise UsageError(f"unknown config key {key!r} for {args.command}")
+                raise InputError(f"unknown config key {key!r} for {args.command}")
             values[key] = _config_value(options[key], text)
         sp.set_defaults(**values)
         args = parser.parse_args(argv)
     for key in ("n", "n_grid"):
         if key in options and getattr(args, key) is None:
-            raise UsageError(f"--{key.replace('_', '-')} is required for {args.command}")
+            raise InputError(f"--{key.replace('_', '-')} is required for {args.command}")
     return args
 
 
@@ -196,7 +197,7 @@ def _cmd_simulate_path(args, law) -> dict:
     sched = scaling_constants(law, args.k, args.n)
     rng = derived_rng(args.seed, ROLE_PATH, args.n, 0)
     path = sample_renewal_path(law, sched, 1.0, rng)
-    tp = build_transport_path(path, sched)
+    tp = build_transport_path(path)
     out = Path(args.out) / "transport_path.csv"
     csvio.write_path_csv(out, tp, law, sched, args.seed)
     return {
@@ -220,7 +221,7 @@ def _cmd_couple(args, law) -> dict:
         diag = embedding_diagnostics(real)
     else:
         if args.export_grid_path:
-            raise UsageError("--export-grid-path needs --engine grid")
+            raise InputError("--export-grid-path needs --engine grid")
         # Stream the blocks into the file, so memory does not grow with n.
         sums = EmbeddingSums()
         blocks = sums.tally(exact_blocks(law, sched, rng))
@@ -285,16 +286,18 @@ def _cmd_rate(args, law) -> dict:
 
 
 def _cmd_gof(args, law) -> dict:
+    # The covariance check comes first, so bad s, t or reps fail before the
+    # terminal paths are simulated; the two use independent streams.
+    cov = covariance_check(
+        law, args.k, args.n, args.s, args.t, args.reps,
+        derived_rng(args.seed, ROLE_GOF_COV, args.n, 0),
+    )
     sched = scaling_constants(law, args.k, args.n)
     samples = terminal_samples(
         law, sched, args.reps, derived_rng(args.seed, ROLE_GOF_TERMINAL, args.n, 0)
     )
     ks = ks_normal(samples)
     variance = float(np.var(samples, ddof=1))
-    cov = covariance_check(
-        law, args.k, args.n, args.s, args.t, args.reps,
-        derived_rng(args.seed, ROLE_GOF_COV, args.n, 0),
-    )
     summary = {
         "tool_version": __version__,
         "law": law_label(law),

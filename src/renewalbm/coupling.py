@@ -43,14 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError,
-    DomainError,
-    InputError,
-    ParameterError,
-    UnsupportedModeError,
-    check_budget,
-)
+from .errors import ConsistencyError, InputError, check_budget
 from .exit_times import first_crossing, invert_unit_cdf
 from .laws import JumpLaw, sample_jumps
 from .transport import ScalingSchedule
@@ -141,7 +134,7 @@ class CoupledRealization:
         arr = np.asarray(t, dtype=float)
         last = self.path_times[-1]
         if arr.size and (arr.min() < 0.0 or arr.max() > last):
-            raise DomainError(f"evaluation time outside [0, {last!r}]")
+            raise InputError(f"evaluation time outside [0, {last!r}]")
         seg = np.searchsorted(self.path_times, arr, side="right") - 1
         seg = np.minimum(seg, self.n_steps - 1)
         val = self.skeleton[seg] + self.signs[seg] * (arr - self.path_times[seg]) / self.schedule.normalizer
@@ -199,10 +192,10 @@ def build_coupled_realization(
     checked against the budget before it is allocated. Both raise BudgetError.
     """
     if engine not in ("exact", "grid"):
-        raise ParameterError(f"unknown engine {engine!r}")
+        raise InputError(f"unknown engine {engine!r}")
     if engine == "exact":
         if grid_step is not None:
-            raise ParameterError("grid_step only applies to the grid engine")
+            raise InputError("grid_step only applies to the grid engine")
         blocks = []
         steps = 0
         for block in exact_blocks(law, schedule, rng):
@@ -212,7 +205,7 @@ def build_coupled_realization(
         return _assemble(law, schedule, "exact", blocks, None, None)
     h = schedule.mean_step / GRID_STEP_DIVISOR if grid_step is None else float(grid_step)
     if not 0 < h <= schedule.mean_step:
-        raise ParameterError(f"grid step {h!r} must lie in (0, mean_step]")
+        raise InputError(f"grid step {h!r} must lie in (0, mean_step]")
     return _build_grid(law, schedule, rng, h)
 
 
@@ -412,7 +405,7 @@ def _assemble(law, schedule, engine, blocks, grid, bm_index):
 
 def _require_grid(real: CoupledRealization) -> GridPath:
     if real.grid is None:
-        raise UnsupportedModeError(
+        raise InputError(
             "this realization has no grid path; sup distances need engine='grid'"
         )
     return real.grid
@@ -448,7 +441,7 @@ def sup_distance(real: CoupledRealization, mode: str = "grid") -> float:
     """
     grid = _require_grid(real)
     if mode != "grid":
-        raise UnsupportedModeError(f"unknown mode {mode!r}")
+        raise InputError(f"unknown mode {mode!r}")
     h = grid.step
     size = _grid_horizon_index(grid) + 1
     w = grid.values[:size]

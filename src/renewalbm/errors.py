@@ -1,4 +1,11 @@
-"""Exception types and the allocation budget shared across the package."""
+"""Exception types and the allocation budget shared across the package.
+
+One class per outcome: InputError for input that fails its preconditions
+(command-line exit 2), BudgetError for a request past the allocation budget
+(exit 3), NumericError and ConsistencyError for failures on valid input
+(exit 1). Inputs are checked where they enter: a JumpLaw when it is built, a
+schedule in scaling_constants, so code downstream does not check them again.
+"""
 
 # Largest array of float64 values the simulators may create, in bytes. Grid
 # walks, exact realization arrays and renewal event arrays are checked
@@ -7,24 +14,9 @@
 ALLOC_BUDGET_BYTES = 1 << 30
 
 
-class ParameterError(ValueError):
-    """A law, schedule, or engine parameter is outside its admissible range."""
-
-
-class RateConditionError(ParameterError):
-    """The decay exponent k does not satisfy k > 1."""
-
-
-class DomainError(ValueError):
-    """An evaluation time lies outside the object's domain."""
-
-
 class InputError(ValueError):
-    """An experiment input fails its preconditions."""
-
-
-class UnsupportedModeError(ValueError):
-    """The requested measurement mode is unavailable for this realization."""
+    """A law, schedule, parameter, evaluation time or command-line input
+    fails its preconditions."""
 
 
 class BudgetError(RuntimeError):
@@ -37,10 +29,6 @@ class NumericError(ArithmeticError):
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed on a concrete realization."""
-
-
-class UsageError(ValueError):
-    """Invalid command line or config file input."""
 
 
 def check_budget(points, what: str) -> None:

@@ -42,7 +42,7 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import NumericError, ParameterError, check_budget
+from .errors import InputError, NumericError, check_budget
 
 SERIES_SWITCH_T = 0.05
 SERIES_TERM_TOL = 1e-12
@@ -315,7 +315,7 @@ def sample_first_exit(a: float, rng: np.random.Generator, size: int | None = Non
     fair sign because the interval is symmetric.
     """
     if not a > 0:
-        raise ParameterError(f"interval half-width must be positive, got {a!r}")
+        raise InputError(f"interval half-width must be positive, got {a!r}")
     m = 1 if size is None else int(size)
     tau = (a * a) * invert_unit_cdf(rng.random(m))
     sign = rng.integers(0, 2, m) * 2 - 1
@@ -332,9 +332,9 @@ def grid_exit(a: float, h: float, rng: np.random.Generator) -> tuple[float, int]
     would exceed errors.ALLOC_BUDGET_BYTES.
     """
     if not a > 0:
-        raise ParameterError(f"interval half-width must be positive, got {a!r}")
+        raise InputError(f"interval half-width must be positive, got {a!r}")
     if not 0 < h <= a * a / 100.0:
-        raise ParameterError(f"grid step h={h!r} must lie in (0, a^2/100]")
+        raise InputError(f"grid step h={h!r} must lie in (0, a^2/100]")
     sqrt_h = math.sqrt(h)
     block = int(1.25 * a * a / h) + 64
     last = 0.0

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import special
 
 from .coupling import build_coupled_realization, decompose_sup
-from .errors import BudgetError, InputError, RateConditionError
+from .errors import BudgetError, InputError
 from .laws import JumpLaw
 from .streams import ROLE_RATE, ROLE_TRACE, derived_rng
 from .transport import build_transport_path, sample_renewal_path, scaling_constants
@@ -59,12 +59,13 @@ class RateExperimentConfig:
     alpha: float | None = None
 
     def __post_init__(self):
-        if not self.k > 1:
-            raise RateConditionError("k must exceed 1")
         grid = _check_ladder(self.n_grid)
         object.__setattr__(self, "n_grid", grid)
         if grid[0] < 2:
             raise InputError("n_grid entries must be at least 2")
+        # Every rung's schedule, so a bad scale fails before a pool starts.
+        for n in grid:
+            scaling_constants(self.law, self.k, n)
         if self.reps < 2:
             raise InputError("reps must be at least 2")
         if self.alpha is not None and not self.alpha > 0:
@@ -364,7 +365,7 @@ def covariance_check(law: JumpLaw, k: float, n: int, s: float, t: float, reps: i
     sched = scaling_constants(law, k, n)
     prods = np.empty(reps)
     for i in range(reps):
-        tp = build_transport_path(sample_renewal_path(law, sched, 1.0, rng), sched)
+        tp = build_transport_path(sample_renewal_path(law, sched, 1.0, rng))
         prods[i] = tp.value_at(s) * tp.value_at(t)
     estimate = float(prods.mean())
     spread = float(prods.std(ddof=1)) / math.sqrt(reps)

@@ -2,16 +2,19 @@
 
 The family is deliberately closed: every law must expose exact first, second
 and fourth moments, because the scaling constants derived from them must not
-carry Monte Carlo error.
+carry Monte Carlo error. A JumpLaw is checked when it is built, so every law
+that exists has finite parameters and finite, positive moments, and the
+functions below take it as valid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import InputError
 
 KINDS = ("uniform01", "exponential", "deterministic", "two_point")
 
@@ -24,10 +27,19 @@ class JumpLaw:
     params: positional parameters, meaning depends on kind:
             exponential -> (rate,), deterministic -> (c,),
             two_point -> (a, b, p) taking value a with probability p.
+
+    Raises InputError, naming the law and every violated rule, unless the
+    parameters fit the kind, are finite, and give finite, positive m1, m2
+    and m4.
     """
 
     kind: str
     params: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        bad = _violations(self)
+        if bad:
+            raise InputError(f"invalid jump law {law_label(self)}: " + "; ".join(bad))
 
 
 def uniform01() -> JumpLaw:
@@ -52,12 +64,8 @@ def _mass_at_zero(law: JumpLaw) -> float:
     return (p if a == 0 else 0.0) + ((1.0 - p) if b == 0 else 0.0)
 
 
-def validate_law(law: JumpLaw) -> list[str]:
-    """Return a list of violation messages, empty when the law is usable.
-
-    Never raises: callers that want a hard failure use moments() or the
-    samplers, which reject invalid parameters.
-    """
+def _violations(law: JumpLaw) -> list[str]:
+    # The messages of every rule the law breaks, empty when it is usable.
     out: list[str] = []
     if law.kind not in KINDS:
         return [f"unknown law kind {law.kind!r}"]
@@ -86,18 +94,20 @@ def validate_law(law: JumpLaw) -> list[str]:
             out.append("p outside [0, 1]")
         if _mass_at_zero(law) == 1.0:
             out.append("P(U=0)=1")
-    return out
-
-
-def _check(law: JumpLaw) -> None:
-    bad = validate_law(law)
-    if bad:
-        raise ParameterError(f"invalid jump law {law_label(law)}: " + "; ".join(bad))
+    if not all(math.isfinite(x) for x in law.params):
+        out.append("nonfinite parameter")
+    if out:
+        return out
+    # Overflow and division by zero leave a moment with no finite value.
+    try:
+        finite = all(0.0 < m < math.inf for m in moments(law))
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    return [] if finite else ["m1, m2 and m4 not all finite and positive"]
 
 
 def moments(law: JumpLaw) -> tuple[float, float, float]:
-    """Exact (m1, m2, m4) for the law. Raises ParameterError when invalid."""
-    _check(law)
+    """Exact (m1, m2, m4) for the law."""
     if law.kind == "uniform01":
         return (0.5, 1.0 / 3.0, 0.2)
     if law.kind == "exponential":
@@ -117,14 +127,11 @@ def has_zero_atom(law: JumpLaw) -> bool:
     Such laws are accepted; downstream summaries flag runs that use them as
     exploratory because repeated zero jumps stack renewals at one instant.
     """
-    if law.kind != "two_point" or len(law.params) != 3:
-        return False
-    return 0.0 < _mass_at_zero(law) < 1.0
+    return law.kind == "two_point" and 0.0 < _mass_at_zero(law) < 1.0
 
 
 def sample_jumps(law: JumpLaw, rng: np.random.Generator, size: int | None = None):
     """Draw jump times from the law; scalar when size is None."""
-    _check(law)
     m = 1 if size is None else int(size)
     if law.kind == "uniform01":
         draws = rng.random(m)
@@ -147,14 +154,11 @@ def law_label(law: JumpLaw) -> str:
 
 def parse_law(text: str) -> JumpLaw:
     """Parse 'uniform01', 'exponential:<rate>', 'deterministic:<c>' or
-    'two_point:<a>,<b>,<p>'. Raises ParameterError on malformed input."""
+    'two_point:<a>,<b>,<p>'. Raises InputError on malformed input or an
+    invalid law."""
     kind, _, rest = text.strip().partition(":")
-    if kind not in KINDS:
-        raise ParameterError(f"unknown law kind {kind!r}")
     try:
         params = tuple(float(tok) for tok in rest.split(",")) if rest else ()
     except ValueError as exc:
-        raise ParameterError(f"malformed law parameters in {text!r}") from exc
-    law = JumpLaw(kind, params)
-    _check(law)
-    return law
+        raise InputError(f"malformed law parameters in {text!r}") from exc
+    return JumpLaw(kind, params)

@@ -5,6 +5,10 @@ on [0, horizon] together with a fair coin flip per arrival. The transport
 path integrates a +/-1 sign that toggles at the flipped arrivals and divides
 by the normalizing constant, giving a piecewise-linear path of slope
 magnitude 1/normalizer.
+
+scaling_constants is the one place a schedule is checked; a RenewalPath
+carries the schedule it was sampled under, and build_transport_path reads it
+from there.
 """
 
 from __future__ import annotations
@@ -14,13 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InputError,
-    ParameterError,
-    RateConditionError,
-    check_budget,
-)
+from .errors import InputError, check_budget
 from .laws import JumpLaw, moments, sample_jumps
 
 
@@ -47,20 +45,31 @@ class ScalingSchedule:
 def scaling_constants(law: JumpLaw, k: float, n: int) -> ScalingSchedule:
     """Build the ScalingSchedule for (law, k, n).
 
-    Raises RateConditionError unless k > 1, ParameterError for bad n or law.
+    Raises InputError unless k > 1, n is a positive integer, and mean_step
+    and normalizer are at least the smallest normal float, so 1 / mean_step
+    is finite. Both are finite, since the law's moments are: it was checked
+    when it was built.
     """
     if not k > 1.0:
-        raise RateConditionError("k must exceed 1")
+        raise InputError("k must exceed 1")
     if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
+        raise InputError(f"n must be a positive integer, got {n!r}")
     m1, m2, _ = moments(law)
     time_scale = float(n) ** (-float(k))
+    normalizer = math.sqrt(time_scale * m2 / m1)
+    mean_step = time_scale * m1
+    tiny = float(np.finfo(float).tiny)
+    if not (mean_step >= tiny and normalizer >= tiny):
+        raise InputError(
+            f"scale n={n} with k={k!r} gives mean_step {mean_step!r} and "
+            f"normalizer {normalizer!r}; both must be at least {tiny!r}"
+        )
     return ScalingSchedule(
         k=float(k),
         n=int(n),
         time_scale=time_scale,
-        normalizer=math.sqrt(time_scale * m2 / m1),
-        mean_step=time_scale * m1,
+        normalizer=normalizer,
+        mean_step=mean_step,
     )
 
 
@@ -97,7 +106,7 @@ class RenewalPath:
 
     def _check_domain(self, t: float) -> None:
         if not 0.0 <= t <= self.horizon:
-            raise DomainError(f"t={t!r} outside [0, {self.horizon!r}]")
+            raise InputError(f"t={t!r} outside [0, {self.horizon!r}]")
 
 
 def sample_renewal_path(
@@ -116,7 +125,7 @@ def sample_renewal_path(
     paths.
     """
     if horizon < 0:
-        raise DomainError(f"horizon must be nonnegative, got {horizon!r}")
+        raise InputError(f"horizon must be nonnegative, got {horizon!r}")
     expected = horizon / schedule.mean_step
     initial = int(rng.integers(0, 2))
     if horizon == 0:
@@ -172,7 +181,7 @@ class TransportPath:
         """
         arr = np.asarray(t, dtype=float)
         if arr.size and (arr.min() < 0.0 or arr.max() > self.horizon):
-            raise DomainError(f"evaluation time outside [0, {self.horizon!r}]")
+            raise InputError(f"evaluation time outside [0, {self.horizon!r}]")
         seg = np.searchsorted(self.knot_times, arr, side="right") - 1
         seg = np.minimum(seg, len(self.knot_times) - 1)
         signs = np.where(seg % 2 == 0, self.initial_sign, -self.initial_sign)
@@ -180,18 +189,17 @@ class TransportPath:
         return float(val) if np.isscalar(t) or arr.ndim == 0 else val
 
 
-def build_transport_path(path: RenewalPath, schedule: ScalingSchedule) -> TransportPath:
-    """Turn a renewal path into its transport path.
+def build_transport_path(path: RenewalPath) -> TransportPath:
+    """Turn a renewal path into its transport path, under the schedule it
+    was sampled with.
 
     Only flipped arrivals change the sign; unflipped ones leave the slope
     alone and produce no knot.
     """
-    if path.schedule != schedule:
-        raise ParameterError("renewal path was sampled under a different schedule")
     breakpoints = path.times[path.flips == 1]
     knots = np.concatenate([[0.0], breakpoints])
     initial_sign = 1 if path.initial_reward % 2 == 0 else -1
-    slope_mag = 1.0 / schedule.normalizer
+    slope_mag = 1.0 / path.schedule.normalizer
     if breakpoints.size:
         seg_signs = np.where(np.arange(breakpoints.size) % 2 == 0, initial_sign, -initial_sign)
         values = np.concatenate([[0.0], np.cumsum(seg_signs * np.diff(knots) * slope_mag)])
@@ -220,5 +228,5 @@ def terminal_samples(
     out = np.empty(reps)
     for i in range(reps):
         path = sample_renewal_path(law, schedule, horizon, rng)
-        out[i] = build_transport_path(path, schedule).value_at(horizon)
+        out[i] = build_transport_path(path).value_at(horizon)
     return out

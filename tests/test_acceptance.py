@@ -102,7 +102,7 @@ def test_c2_path_evaluation_exactness(capsys):
     worst = 0.0
     for _ in range(1000):
         path = sample_renewal_path(LAW, sched, 1.0, rng)
-        tp = build_transport_path(path, sched)
+        tp = build_transport_path(path)
         times = rng.random(10)
         for t, got in zip(times, tp.value_at(times)):
             want = _direct_sign_integral(path, sched, t)

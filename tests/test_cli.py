@@ -1,10 +1,15 @@
 """CLI contract: exit codes, config merging, and artifact layout."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import renewalbm.cli
 import renewalbm.coupling
 import renewalbm.errors
 import renewalbm.experiments
@@ -67,6 +72,31 @@ def test_usage_exit_codes(tmp_path, capsys):
     # argparse shows the n_grid parser's own message
     assert main(["rate", "--n-grid", "4,x", "--out", str(tmp_path)]) == 2
     assert "argument --n-grid: must be comma-separated integers, got '4,x'" in capsys.readouterr().err
+    # laws and schedules that cannot run are refused where they enter
+    for argv, named in (
+        (["simulate-path", "--n", "10", "--law", "deterministic:inf"], "invalid jump law deterministic:inf"),
+        (["gof", "--n", "10", "--law", "exponential:inf", "--reps", "100"], "invalid jump law exponential:inf"),
+        (["simulate-path", "--n", "10", "--law", "two_point:1e308,1e308,0.5"], "invalid jump law two_point"),
+        (["couple", "--engine", "exact", "--k", "1100", "--n", "2"], "scale n=2 with k=1100.0"),
+        (["rate", "--k", "1100", "--n-grid", "2,3", "--reps", "2"], "scale n=2 with k=1100.0"),
+    ):
+        assert main(argv + ["--out", str(tmp_path)]) == 2, argv
+        assert named in capsys.readouterr().err, argv
+    assert not any(tmp_path.iterdir())
+
+
+def test_unrunnable_exact_law_exits_at_once(tmp_path):
+    # In a child process with a timeout, so a regression fails instead of
+    # running without end.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["couple", "--engine", "exact", "--law", "deterministic:inf", "--n", "4", "--out", str(tmp_path)]
+    done = subprocess.run(
+        [sys.executable, "-m", "renewalbm.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "invalid jump law deterministic:inf" in done.stderr
     assert not any(tmp_path.iterdir())
 
 
@@ -261,6 +291,23 @@ def test_gof_summary(tmp_path):
     assert 0.0 <= float(summary["ks_p_value"]) <= 1.0
     assert 0.5 < float(summary["terminal_variance"]) < 1.5
     assert float(summary["cov_expected"]) == 0.5
+
+
+def test_gof_checks_s_and_t_before_simulating(tmp_path, capsys, monkeypatch):
+    calls = []
+    real_samples = renewalbm.cli.terminal_samples
+
+    def recording(*args, **kw):
+        calls.append(args)
+        return real_samples(*args, **kw)
+
+    monkeypatch.setattr(renewalbm.cli, "terminal_samples", recording)
+    assert main(["gof", "--n", "32", "--s", "0.7", "--t", "0.3", "--out", str(tmp_path)]) == 2
+    assert "need 0 <= s <= t <= 1" in capsys.readouterr().err
+    assert calls == []
+    assert not any(tmp_path.iterdir())
+    assert main(["gof", "--n", "4", "--reps", "100", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_trace_artifact(tmp_path):

@@ -26,7 +26,7 @@ from renewalbm.coupling import (
     sample_exit_level,
     sup_distance,
 )
-from renewalbm.errors import BudgetError, DomainError, InputError, ParameterError, UnsupportedModeError
+from renewalbm.errors import BudgetError, InputError
 from renewalbm.experiments import ks_uniform, skeleton_identity_error
 from renewalbm.laws import deterministic, two_point, uniform01
 from renewalbm.streams import ROLE_RATE, derived_rng
@@ -87,31 +87,31 @@ def test_skeleton_identity_and_knot_values():
 
 def test_value_at_domain():
     real = build_coupled_realization(LAW, SCHED10, np.random.default_rng(58))
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError):
         real.value_at(real.path_times[-1] * 1.000001)
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError):
         real.value_at(-1e-12)
 
 
 def test_engine_and_step_validation():
     rng = np.random.default_rng(0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(InputError):
         build_coupled_realization(LAW, SCHED10, rng, engine="fancy")
-    with pytest.raises(ParameterError):
+    with pytest.raises(InputError):
         build_coupled_realization(LAW, SCHED10, rng, engine="exact", grid_step=1e-5)
     for bad in (0.0, -1e-6, SCHED10.mean_step * 1.5):
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError):
             build_coupled_realization(LAW, SCHED10, rng, grid_step=bad)
 
 
 def test_sup_modes_need_grid_engine():
     real = build_coupled_realization(LAW, SCHED10, np.random.default_rng(3), engine="exact")
-    with pytest.raises(UnsupportedModeError):
+    with pytest.raises(InputError):
         sup_distance(real, "grid")
-    with pytest.raises(UnsupportedModeError):
+    with pytest.raises(InputError):
         decompose_sup(real)
     grid_real = build_coupled_realization(LAW, SCHED10, np.random.default_rng(3))
-    with pytest.raises(UnsupportedModeError):
+    with pytest.raises(InputError):
         sup_distance(grid_real, "everywhere")
 
 

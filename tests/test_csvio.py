@@ -74,7 +74,7 @@ def test_grid_rows(tmp_path, row_block):
 
 def test_path_rows(tmp_path, row_block):
     sched = scaling_constants(LAW, 2.0, 6)
-    tp = build_transport_path(sample_renewal_path(LAW, sched, 1.0, np.random.default_rng(5)), sched)
+    tp = build_transport_path(sample_renewal_path(LAW, sched, 1.0, np.random.default_rng(5)))
     assert tp.horizon > tp.knot_times[-1]  # the horizon row is exercised
     write_path_csv(tmp_path / "p.csv", tp, LAW, sched, 5)
     rows = list(zip(tp.knot_times, tp.knot_values))

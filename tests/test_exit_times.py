@@ -10,7 +10,7 @@ from scipy import integrate, special
 
 import renewalbm.errors
 import renewalbm.exit_times
-from renewalbm.errors import BudgetError, NumericError, ParameterError
+from renewalbm.errors import BudgetError, InputError, NumericError
 from renewalbm.exit_times import (
     _GUIDE_BINS,
     _TABLE_F,
@@ -250,11 +250,11 @@ def test_density_continuous_at_switch():
 def test_sampler_parameter_checks():
     rng = np.random.default_rng(0)
     for a in (0.0, -1.0):
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError):
             sample_first_exit(a, rng)
-    with pytest.raises(ParameterError):
+    with pytest.raises(InputError):
         grid_exit(0.0, 1e-4, rng)
-    with pytest.raises(ParameterError):
+    with pytest.raises(InputError):
         grid_exit(1.0, 0.02, rng)  # h above a^2/100
 
 

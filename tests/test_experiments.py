@@ -8,7 +8,7 @@ import pytest
 import renewalbm.errors
 import renewalbm.experiments
 from renewalbm.coupling import build_coupled_realization, sup_distance
-from renewalbm.errors import BudgetError, InputError, RateConditionError
+from renewalbm.errors import BudgetError, InputError
 from renewalbm.experiments import (
     RateExperimentConfig,
     as_trace,
@@ -40,7 +40,7 @@ def test_rate_scale_values():
 def test_config_validation():
     ok = dict(law=LAW, k=2.0, n_grid=(4, 8), reps=5, master_seed=1)
     RateExperimentConfig(**ok)
-    with pytest.raises(RateConditionError):
+    with pytest.raises(InputError):
         RateExperimentConfig(**{**ok, "k": 1.0})
     with pytest.raises(InputError):
         RateExperimentConfig(**{**ok, "n_grid": ()})

@@ -1,10 +1,16 @@
 """Jump-law moments, validation, sampling, and label round-trips."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from renewalbm.errors import ParameterError
+from renewalbm.errors import InputError
 from renewalbm.laws import (
+    KINDS,
+    JumpLaw,
     deterministic,
     exponential,
     has_zero_atom,
@@ -14,8 +20,10 @@ from renewalbm.laws import (
     sample_jumps,
     two_point,
     uniform01,
-    validate_law,
 )
+from renewalbm.transport import scaling_constants
+
+ARITY = {"uniform01": 0, "exponential": 1, "deterministic": 1, "two_point": 3}
 
 
 def test_uniform01_moments_exact():
@@ -47,24 +55,90 @@ def test_two_point_moments():
 
 
 def test_invalid_parameters_raise():
-    with pytest.raises(ParameterError):
+    with pytest.raises(InputError):
         moments(exponential(-1.0))
-    with pytest.raises(ParameterError):
+    with pytest.raises(InputError):
         moments(exponential(0.0))
-    with pytest.raises(ParameterError):
+    with pytest.raises(InputError):
         moments(deterministic(0.0))
-    with pytest.raises(ParameterError):
+    with pytest.raises(InputError):
         moments(two_point(0.0, 1.0, 1.5))
-    with pytest.raises(ParameterError):
+    with pytest.raises(InputError):
         moments(two_point(0.0, 0.0, 1.0))
 
 
-def test_validate_law_reports_violations():
-    assert validate_law(uniform01()) == []
-    assert "P(U=0)=1" in " ".join(validate_law(two_point(0.0, 0.0, 1.0)))
-    assert any("nonpositive rate" in v for v in validate_law(exponential(-1.0)))
+def test_construction_names_the_law_and_every_violation():
+    with pytest.raises(InputError, match=r"^invalid jump law two_point:0\.0,0\.0,1\.0: .*P\(U=0\)=1"):
+        two_point(0.0, 0.0, 1.0)
+    with pytest.raises(InputError, match="nonpositive rate"):
+        exponential(-1.0)
     # degenerate two_point with all mass at zero via p=1
-    assert validate_law(two_point(0.0, 1.0, 1.0))
+    with pytest.raises(InputError, match=r"P\(U=0\)=1"):
+        two_point(0.0, 1.0, 1.0)
+    with pytest.raises(InputError, match="negative a; nonpositive b; p outside"):
+        two_point(-1.0, 0.0, 2.0)
+    with pytest.raises(InputError, match="unknown law kind 'gaussian'"):
+        JumpLaw("gaussian")
+    with pytest.raises(InputError, match=r"exactly one parameter \(rate\)"):
+        JumpLaw("exponential", (1.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        ("deterministic", (math.inf,)),
+        ("exponential", (math.inf,)),
+        ("exponential", (math.nan,)),
+        ("two_point", (0.0, math.inf, 0.5)),
+        ("two_point", (math.nan, 1.0, 0.5)),
+    ],
+)
+def test_nonfinite_parameters_are_rejected(law):
+    with pytest.raises(InputError, match="nonfinite parameter"):
+        JumpLaw(*law)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        ("two_point", (1e308, 1e308, 0.5)),  # m2 overflows to inf
+        ("deterministic", (1e100,)),  # c**4 raises OverflowError
+        ("exponential", (1e-100,)),  # rate**2 underflows: division by zero
+        ("exponential", (5e-324,)),  # 1 / rate is inf
+        ("deterministic", (1e-100,)),  # m4 underflows to 0
+    ],
+)
+def test_moments_must_be_finite_and_positive(law):
+    with pytest.raises(InputError, match="m1, m2 and m4 not all finite and positive"):
+        JumpLaw(*law)
+
+
+_LAWS = st.sampled_from(KINDS).flatmap(
+    lambda kind: st.tuples(st.just(kind), st.tuples(*[st.floats()] * ARITY[kind]))
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(law=_LAWS, k=st.floats(), n=st.integers(-2, 2**40))
+@example(law=("deterministic", (math.inf,)), k=2.0, n=4)
+@example(law=("two_point", (1e308, 1e308, 0.5)), k=2.0, n=4)
+@example(law=("two_point", (0.0, 5e-324, 0.5)), k=2.0, n=4)
+@example(law=("exponential", (1e-70,)), k=2.0, n=4)
+@example(law=("deterministic", (1e-70,)), k=1.0000001, n=2**40)
+@example(law=("uniform01", ()), k=1100.0, n=2)
+@example(law=("uniform01", ()), k=math.inf, n=1)
+def test_a_law_and_schedule_that_build_can_run(law, k, n):
+    # Either the input is refused where it enters, or everything derived
+    # from it is finite and positive, including the step count 1 / mean_step.
+    try:
+        built = JumpLaw(*law)
+        sched = scaling_constants(built, k, n)
+    except InputError:
+        return
+    derived = (*moments(built), sched.mean_step, sched.normalizer, 1.0 / sched.mean_step)
+    assert all(math.isfinite(v) and v > 0 for v in derived)
+    draws = sample_jumps(built, np.random.default_rng(0), 64)
+    assert np.all(np.isfinite(draws)) and np.all(draws >= 0.0)
 
 
 def test_cauchy_schwarz_chain_for_accepted_laws():
@@ -126,5 +200,5 @@ def test_label_round_trip():
 
 def test_parse_law_rejects_junk():
     for text in ("gaussian", "exponential", "exponential:zero", "two_point:1,2", ""):
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError):
             parse_law(text)
