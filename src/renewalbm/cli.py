@@ -63,6 +63,16 @@ def _parse_n_grid(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}") from None
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+
+
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("true", "1", "yes", "on"):
@@ -94,7 +104,7 @@ def _build_parser():
 
         option("--law", default="uniform01", help="uniform01 | exponential:<rate> | deterministic:<c> | two_point:<a>,<b>,<p> (default %(default)s)")
         option("--k", type=float, default=2.0, help="rate exponent, must exceed 1 (default %(default)s)")
-        option("--seed", type=int, default=0, help="master seed (default %(default)s)")
+        option("--seed", type=_parse_seed, default=0, help="master seed, a non-negative integer (default %(default)s)")
         option("--out", default=".", help="existing output directory (default %(default)s)")
         sp.add_argument("--config", help="key=value file; flags override it")
         return option

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, InputError, check_budget
-from .exit_times import first_crossing, invert_unit_cdf
+from .exit_times import _tables, first_crossing, invert_unit_cdf
 from .laws import JumpLaw, sample_jumps
 from .transport import ScalingSchedule
 
@@ -244,6 +244,10 @@ def exact_blocks(law, schedule, rng):
     its own draws and the carry, so the steps do not depend on how a consumer
     holds them.
     """
+    # The inversion tables live as long as the process. Built here, before
+    # the first block's arrays, they do not sit above those arrays in the
+    # heap and keep it from shrinking once the blocks are freed.
+    _tables()
     target = _target_steps(schedule)
     count = 0
     first_cover = None

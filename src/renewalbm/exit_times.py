@@ -20,13 +20,15 @@ a value does not depend on the other values of its call, so a draw does not
 depend on its block.
 
 Sampling inverts F to absolute tolerance PROB_TOL = 1e-10 in probability.
-A forward table of F and f, built once at import, gives each uniform its
-cell through a guide table (Chen & Asau 1974) and a start by cubic Hermite
-interpolation of the inverse in that cell, which is within about 1e-12 of
-its uniform; one evaluation of F then accepts almost every draw. A draw that
-misses takes Newton steps on the exit density f = F', safeguarded by
-bisection inside the table bracket. A draw is returned only once its
-evaluated F is within the tolerance of its uniform.
+A forward table of F and f gives each uniform its cell through a guide table
+(Chen & Asau 1974) and a start by cubic Hermite interpolation of the inverse
+in that cell, which is within about 1e-12 of its uniform; one evaluation of
+F then accepts almost every draw. A draw that misses takes Newton steps on
+the exit density f = F', safeguarded by bisection inside the table bracket.
+A draw is returned only once its evaluated F is within the tolerance of its
+uniform. The tables are built on first use in a process, and scipy, whose
+normal tail only the small-t series needs, is imported on the first small-t
+evaluation, so a process that draws no exact exit loads neither.
 
 The grid walker grid_exit observes a discrete N(0, h) random walk instead;
 its exit time is biased upward by O(sqrt(h)) because excursions between grid
@@ -37,10 +39,11 @@ barrier instead (coupling.BGK_SHIFT), which removes it.
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import InputError, NumericError, check_budget
 
@@ -58,7 +61,10 @@ def _cdf_small_t(t: np.ndarray) -> np.ndarray:
     # F(t) = 4 * sum_j [Q((4j+1)/sqrt(t)) - Q((4j+3)/sqrt(t))], terms positive
     # and strictly decreasing, so the alternating-series error bound applies
     # to the paired form as well. An element stops once its own term is below
-    # the tolerance.
+    # the tolerance. Imported here, so a process without exact draws never
+    # loads scipy.
+    from scipy.special import ndtr
+
     root = 1.0 / np.sqrt(t)
     total = np.zeros_like(t)
     idx = np.arange(t.size)
@@ -174,16 +180,6 @@ def unit_exit_density(t):
     return _by_regime(t, _density_small_t, _density_large_t)
 
 
-# Forward table of F on 0 and a geometric ladder up to the upper bracket,
-# built once at import; read-only. F(5e-3) ~ 4e-45, so the first cell holds
-# every uniform below it. Cell k, 1 <= k < 4096, brackets the u with
-# _TABLE_F[k - 1] <= u < _TABLE_F[k] by [_TABLE_T[k - 1], _TABLE_T[k]]; u = 1
-# falls in the last cell.
-_TABLE_T = np.concatenate([[0.0], np.geomspace(5e-3, _UPPER_BRACKET, 4095)])
-_TABLE_F = unit_exit_cdf(_TABLE_T)
-_TABLE_F[-1] = 1.0
-_TABLE_T.flags.writeable = False
-_TABLE_F.flags.writeable = False
 # Start for u = 0; every u > 0 interpolates above it.
 _T_FLOOR = np.finfo(float).tiny
 # Draws per block: bounds the temporaries (32 KB per value a draw carries) so
@@ -193,73 +189,97 @@ _MAX_PASSES = 64  # bisection alone needs under 30 inside one table cell
 _GUIDE_BINS = 1 << 16
 
 
+class _Tables(NamedTuple):
+    """The inversion's read-only tables; see _tables."""
+
+    f: np.ndarray  # F at the nodes
+    guide_cell: np.ndarray
+    guide_split: np.ndarray
+    guide_many: np.ndarray
+    rows: np.ndarray  # per cell: bracket and cubic start
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
-def _searched_cell(u: np.ndarray) -> np.ndarray:
-    return np.clip(np.searchsorted(_TABLE_F, u, side="right"), 1, _TABLE_F.size - 1)
+@functools.cache
+def _tables() -> _Tables:
+    """Forward table f = F(t) on t = 0 and a geometric ladder up to the upper
+    bracket, its guide table and its cell rows, built on first use in a
+    process (an exact stream or an inversion); read-only. F(5e-3) ~ 4e-45,
+    so the first cell holds every uniform below it. Cell k, 1 <= k < 4096,
+    brackets the u with f[k - 1] <= u < f[k] by [t[k - 1], t[k]]; u = 1
+    falls in the last cell.
+
+    F and f come from the series themselves, not through unit_exit_cdf and
+    unit_exit_density, so counting those names counts draws only.
+    """
+    t = np.concatenate([[0.0], np.geomspace(5e-3, _UPPER_BRACKET, 4095)])
+    f = _by_regime(t, _cdf_small_t, _cdf_large_t)
+    f[-1] = 1.0
+    f = _read_only(f)
+    return _Tables(f, *_guide_table(f), _cell_rows(t, f))
 
 
-def _guide_table():
+def _searched_cell(u: np.ndarray, f: np.ndarray) -> np.ndarray:
+    return np.clip(np.searchsorted(f, u, side="right"), 1, f.size - 1)
+
+
+def _guide_table(f: np.ndarray):
     # Guide table (Chen & Asau 1974) over 2**16 equal bins of u: the cell of
     # each bin's lower edge, the node past which a u of the bin lies in the
     # next cell, and a flag on the bins whose u span more than two cells.
     edges = np.arange(_GUIDE_BINS) / _GUIDE_BINS
     tops = np.append(np.nextafter(edges[1:], 0.0), 1.0)  # the last bin also holds u = 1
-    first, last = _searched_cell(edges), _searched_cell(tops)
-    split = np.where(first < _TABLE_F.size - 1, _TABLE_F[first], np.inf)
+    first, last = _searched_cell(edges, f), _searched_cell(tops, f)
+    split = np.where(first < f.size - 1, f[first], np.inf)
     return _read_only(first), _read_only(split), _read_only(last > first + 1)
 
 
-_GUIDE_CELL, _GUIDE_SPLIT, _GUIDE_MANY = _guide_table()
-
-
-def _cell_rows() -> np.ndarray:
+def _cell_rows(t: np.ndarray, f: np.ndarray) -> np.ndarray:
     # Row k holds cell k's bracket (t0, t1) and its cubic Hermite
     # interpolation of the inverse t(u) in x = (u - u0) / du on [0, 1],
-    # t = t0 + x (c1 + x (c2 + x c3)), with node slopes dt/dx = du / f(t_i):
+    # t = t0 + x (c1 + x (c2 + x c3)), with node slopes dt/dx = du / F'(t_i):
     # (t0, t1, u0, 1 / du, c1, c2, c3). Where the cubic is not finite (f(0) =
     # 0 in the first cell; du = 0 where F has rounded to 1) its five entries
     # are NaN, so the cell's draws take the linear start.
-    f = unit_exit_density(_TABLE_T)
-    du, dt = np.diff(_TABLE_F), np.diff(_TABLE_T)
+    dens = _by_regime(t, _density_small_t, _density_large_t)
+    du, dt = np.diff(f), np.diff(t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        m0, m1, inv_du = du / f[:-1], du / f[1:], 1.0 / du
-    cubic = np.column_stack([_TABLE_F[:-1], inv_du, m0, 3.0 * dt - 2.0 * m0 - m1, m0 + m1 - 2.0 * dt])
+        m0, m1, inv_du = du / dens[:-1], du / dens[1:], 1.0 / du
+    cubic = np.column_stack([f[:-1], inv_du, m0, 3.0 * dt - 2.0 * m0 - m1, m0 + m1 - 2.0 * dt])
     cubic[~np.isfinite(cubic).all(axis=1)] = np.nan
-    rows = np.column_stack([_TABLE_T[:-1], _TABLE_T[1:], cubic])
+    rows = np.column_stack([t[:-1], t[1:], cubic])
     return _read_only(np.vstack([np.full(7, np.nan), rows]))  # no cell 0
 
 
-_CELL_ROWS = _cell_rows()
-
-
-def _table_cell(u: np.ndarray) -> np.ndarray:
-    """The table cell of each u, equal to _searched_cell(u): one guide-table
-    compare, or a search in the few bins that span more than two cells."""
+def _table_cell(u: np.ndarray, tables: _Tables) -> np.ndarray:
+    """The table cell of each u, equal to _searched_cell(u, tables.f): one
+    guide-table compare, or a search in the few bins that span more than two
+    cells."""
     b = (u * _GUIDE_BINS).astype(np.intp)
     np.clip(b, 0, _GUIDE_BINS - 1, out=b)  # u = 1 joins the last bin
-    cell = _GUIDE_CELL[b] + (u >= _GUIDE_SPLIT[b])
-    many = np.flatnonzero(_GUIDE_MANY[b])
+    cell = tables.guide_cell[b] + (u >= tables.guide_split[b])
+    many = np.flatnonzero(tables.guide_many[b])
     if many.size:
-        cell[many] = _searched_cell(u[many])
+        cell[many] = _searched_cell(u[many], tables.f)
     return cell
 
 
-def _table_start(u: np.ndarray):
+def _table_start(u: np.ndarray, tables: _Tables):
     """Start t and table bracket (lo, hi) of each u: the cubic Hermite start
     in its cell, or the linear one where the cubic is not finite or leaves
     the bracket."""
-    cell = _table_cell(u)
-    rows = np.take(_CELL_ROWS, cell, axis=0)
+    cell = _table_cell(u, tables)
+    rows = np.take(tables.rows, cell, axis=0)
     lo, hi = rows[:, 0], rows[:, 1]
     x = (u - rows[:, 2]) * rows[:, 3]
     t = lo + x * (rows[:, 4] + x * (rows[:, 5] + x * rows[:, 6]))
     off = np.flatnonzero(~((t >= lo) & (t <= hi)))  # NaN too
     if off.size:
-        flo, fhi = _TABLE_F[cell[off] - 1], _TABLE_F[cell[off]]
+        flo, fhi = tables.f[cell[off] - 1], tables.f[cell[off]]
         frac = np.divide(u[off] - flo, fhi - flo, out=np.full(off.size, 0.5), where=fhi > flo)
         t[off] = lo[off] + frac * (hi[off] - lo[off])
     return np.maximum(t, _T_FLOOR), lo, hi  # u = 0 interpolates to t = 0
@@ -281,14 +301,15 @@ def invert_unit_cdf(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     flat = u.ravel()
     out = np.empty(flat.shape)
+    tables = _tables()
     for start in range(0, flat.size, _INVERT_BLOCK):
         stop = start + _INVERT_BLOCK
-        out[start:stop] = _invert_block(flat[start:stop])
+        out[start:stop] = _invert_block(flat[start:stop], tables)
     return out.reshape(u.shape)
 
 
-def _invert_block(u: np.ndarray) -> np.ndarray:
-    t, lo, hi = _table_start(u)
+def _invert_block(u: np.ndarray, tables: _Tables) -> np.ndarray:
+    t, lo, hi = _table_start(u, tables)
     out = np.empty(u.shape)
     active = np.arange(u.size)
     for _ in range(_MAX_PASSES):

@@ -9,7 +9,8 @@ with alpha either supplied or calibrated so the smallest scale sits at 0.5
 exceedance. The trace harness reuses the same replication driver and keeps
 only each sup. Replications draw from streams derived as
 (master_seed, role, n, rep), so results do not depend on worker count or
-scheduling.
+scheduling. The goodness-of-fit checks import scipy.special inside
+themselves, so a rate or trace campaign never loads scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 
 import numpy as np
-from scipy import special
 
 from .coupling import build_coupled_realization, decompose_sup
 from .errors import BudgetError, InputError
@@ -314,6 +314,8 @@ def _ks_distance(sorted_x: np.ndarray, cdf_values: np.ndarray) -> float:
 
 def ks_normal(samples) -> GofResult:
     """One-sample KS against the standard normal, asymptotic p-value."""
+    from scipy import special
+
     x = np.sort(np.asarray(samples, dtype=float))
     if x.size < 50:
         raise InputError("KS check needs at least 50 samples")
@@ -324,6 +326,8 @@ def ks_normal(samples) -> GofResult:
 
 def ks_uniform(samples, high: float) -> GofResult:
     """One-sample KS against the uniform law on (0, high)."""
+    from scipy import special
+
     if not high > 0:
         raise InputError("uniform KS needs a positive upper endpoint")
     x = np.sort(np.asarray(samples, dtype=float))
@@ -338,6 +342,8 @@ def ks_uniform(samples, high: float) -> GofResult:
 
 def ks_two_sample(a, b) -> GofResult:
     """Two-sample KS with the asymptotic p-value."""
+    from scipy import special
+
     xa = np.sort(np.asarray(a, dtype=float))
     xb = np.sort(np.asarray(b, dtype=float))
     if xa.size < 50 or xb.size < 50:
@@ -358,6 +364,8 @@ def covariance_check(law: JumpLaw, k: float, n: int, s: float, t: float, reps: i
     symmetric around 0 by the fair initial sign); the p-value is a normal
     approximation from the sample variance of the products.
     """
+    from scipy import special
+
     if not 0.0 <= s <= t <= 1.0:
         raise InputError("need 0 <= s <= t <= 1")
     if reps < 100:

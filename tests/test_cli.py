@@ -1,5 +1,6 @@
 """CLI contract: exit codes, config merging, and artifact layout."""
 
+import json
 import os
 import subprocess
 import sys
@@ -85,19 +86,80 @@ def test_usage_exit_codes(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_negative_seed_is_refused_where_it_enters(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 4\nseed = -1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    for argv, named in (
+        (["--n", "4", "--seed", "-1"], "argument --seed: must be a non-negative integer, got '-1'"),
+        (["--config", str(cfg)], "config key 'seed': must be a non-negative integer, got '-1'"),
+    ):
+        assert main(["simulate-path", *argv, "--out", str(out)]) == 2, argv
+        assert named in capsys.readouterr().err, argv
+    assert not any(out.iterdir())
+
+
+def _child_env() -> dict:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_unrunnable_exact_law_exits_at_once(tmp_path):
     # In a child process with a timeout, so a regression fails instead of
     # running without end.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = ["couple", "--engine", "exact", "--law", "deterministic:inf", "--n", "4", "--out", str(tmp_path)]
     done = subprocess.run(
         [sys.executable, "-m", "renewalbm.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_child_env(), timeout=60,
     )
     assert done.returncode == 2
     assert "invalid jump law deterministic:inf" in done.stderr
     assert not any(tmp_path.iterdir())
+
+
+# After parsing and after each command in turn, in one fresh interpreter:
+# whether scipy is loaded and how many exit-time tables are built.
+_COLD_START = """
+import json, sys
+import renewalbm.cli, renewalbm.exit_times
+
+def loaded():
+    return ["scipy" in sys.modules, renewalbm.exit_times._tables.cache_info().currsize]
+
+renewalbm.cli.parse_config(["couple", "--n", "2"])
+seen = [["parse_config", loaded()]]
+for argv in json.loads(sys.argv[1]):
+    assert renewalbm.cli.main(argv + ["--out", sys.argv[2]]) == 0, argv
+    seen.append([argv[0], loaded()])
+print(json.dumps(seen))
+"""
+
+
+def test_only_exact_draws_load_scipy_and_the_exit_tables(tmp_path):
+    # A child process, so the test process's own imports cannot hide a
+    # module-level import of scipy or a table built at import.
+    commands = [
+        ["rate", "--n-grid", "4,8", "--reps", "2", "--workers", "1"],
+        ["trace", "--n-grid", "4", "--reps", "2"],
+        ["couple", "--engine", "grid", "--n", "4"],
+        ["simulate-path", "--n", "4"],
+        ["couple", "--engine", "exact", "--n", "4"],
+    ]
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_START, json.dumps(commands), str(tmp_path)],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen == [
+        ["parse_config", [False, 0]],
+        ["rate", [False, 0]],
+        ["trace", [False, 0]],
+        ["couple", [False, 0]],
+        ["simulate-path", [False, 0]],
+        ["couple", [True, 1]],
+    ]
 
 
 def test_capacity_exit_code(tmp_path, capsys):

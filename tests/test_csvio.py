@@ -3,6 +3,10 @@
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,3 +204,18 @@ def test_same_seed_outputs_keep_their_bytes(tmp_path, argv, files):
     for name, (digest, size) in files.items():
         data = (tmp_path / name).read_bytes()
         assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, size), name
+
+
+def test_exact_couple_keeps_its_bytes_when_it_builds_the_tables(tmp_path):
+    # In a fresh process the exit-time tables are built inside the command,
+    # on its first inversion.
+    argv, files = _PINNED[0]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "renewalbm.cli", *argv, "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    data = (tmp_path / "realization.csv").read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == files["realization.csv"]

@@ -13,7 +13,6 @@ import renewalbm.exit_times
 from renewalbm.errors import BudgetError, InputError, NumericError
 from renewalbm.exit_times import (
     _GUIDE_BINS,
-    _TABLE_F,
     _UPPER_BRACKET,
     SERIES_SWITCH_T,
     _cdf_large_t,
@@ -21,6 +20,7 @@ from renewalbm.exit_times import (
     _density_large_t,
     _density_small_t,
     _table_cell,
+    _tables,
     first_crossing,
     grid_exit,
     invert_unit_cdf,
@@ -138,7 +138,7 @@ def test_inversion_properties(u):
 def test_inversion_edge_points():
     f_switch = unit_exit_cdf(SERIES_SWITCH_T)
     _check_inversion([0.0, 2.0**-53, 1.0 - 2.0**-53, f_switch - 1e-12, f_switch + 1e-12])
-    _check_inversion(_TABLE_F)
+    _check_inversion(_tables().f)
 
 
 def test_inversion_keeps_shape_and_blocks(monkeypatch):
@@ -160,8 +160,8 @@ def _midpoint_start(monkeypatch):
     # tolerance, so the inversion must go on past its first evaluation
     table_start = renewalbm.exit_times._table_start
 
-    def start(u):
-        _, lo, hi = table_start(u)
+    def start(u, tables):
+        _, lo, hi = table_start(u, tables)
         return 0.5 * (lo + hi), lo, hi
 
     monkeypatch.setattr(renewalbm.exit_times, "_table_start", start)
@@ -170,7 +170,7 @@ def _midpoint_start(monkeypatch):
 def test_inversion_raises_past_the_pass_bound(monkeypatch):
     _midpoint_start(monkeypatch)
     u = np.linspace(0.1, 0.9, 9)
-    t, _, _ = renewalbm.exit_times._table_start(u)
+    t, _, _ = renewalbm.exit_times._table_start(u, _tables())
     assert np.all(np.abs(unit_exit_cdf(t) - u) > 1e-10)
     monkeypatch.setattr(renewalbm.exit_times, "_MAX_PASSES", 1)
     with pytest.raises(NumericError):
@@ -203,6 +203,9 @@ def test_newton_fallback_meets_the_tolerance(u):
 
 def test_one_evaluation_per_draw(monkeypatch):
     evals = _counted_cdf(monkeypatch)
+    # the tables are built inside the counted call, as in a fresh process,
+    # and their build evaluates F without going through unit_exit_cdf
+    _tables.cache_clear()
     u = np.random.default_rng(17).random(1 << 16)
     t = invert_unit_cdf(u)
     assert evals[0] <= 1.01 * u.size
@@ -211,8 +214,9 @@ def test_one_evaluation_per_draw(monkeypatch):
 
 def _check_cells(u):
     u = np.asarray(u, dtype=float)
-    want = np.clip(np.searchsorted(_TABLE_F, u, "right"), 1, _TABLE_F.size - 1)
-    assert np.array_equal(_table_cell(u), want)
+    f = _tables().f
+    want = np.clip(np.searchsorted(f, u, "right"), 1, f.size - 1)
+    assert np.array_equal(_table_cell(u, _tables()), want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -223,10 +227,11 @@ def test_guide_table_cells_are_the_searched_cells(u):
 
 def test_guide_table_cells_at_nodes_and_bin_edges():
     edges = np.arange(_GUIDE_BINS + 1) / _GUIDE_BINS
+    f = _tables().f
     _check_cells([0.0, 1.0])
-    _check_cells(_TABLE_F)
-    _check_cells(np.nextafter(_TABLE_F, 0.0))
-    _check_cells(np.nextafter(_TABLE_F[:-1], 1.0))
+    _check_cells(f)
+    _check_cells(np.nextafter(f, 0.0))
+    _check_cells(np.nextafter(f[:-1], 1.0))
     _check_cells(edges)
     _check_cells(np.nextafter(edges[1:], 0.0))
     _check_cells(np.nextafter(edges[:-1], 1.0))
