@@ -44,6 +44,12 @@ def _check_ladder(n_grid) -> tuple[int, ...]:
     return grid
 
 
+def _check_seed(seed) -> int:
+    if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputError(f"master_seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class RateExperimentConfig:
     """Settings for one rate campaign.
@@ -70,6 +76,7 @@ class RateExperimentConfig:
             raise InputError("reps must be at least 2")
         if self.alpha is not None and not self.alpha > 0:
             raise InputError("alpha must be positive")
+        object.__setattr__(self, "master_seed", _check_seed(self.master_seed))
 
 
 @dataclass(frozen=True)
@@ -412,7 +419,7 @@ def as_trace(law: JumpLaw, k: float, n_grid, reps: int, master_seed: int) -> Tra
     grid = _check_ladder(n_grid)
     if reps < 1:
         raise InputError("reps must be positive")
-    rungs = _ladder(law, k, grid, reps, master_seed, ROLE_TRACE, 1)
+    rungs = _ladder(law, k, grid, reps, _check_seed(master_seed), ROLE_TRACE, 1)
     j = np.array([[s.sup for s in samples] for _, samples in rungs]).T
     monotone = np.all(np.diff(j, axis=1) < 0.0, axis=1)
     return TraceResult(

@@ -114,9 +114,9 @@ def test_trace_rows(tmp_path, row_block):
 
 
 def _rendered(*columns):
-    buf = io.StringIO()
+    buf = io.BytesIO()
     _write_columns(buf, *columns)
-    return buf.getvalue()
+    return buf.getvalue().decode("ascii")
 
 
 _EDGES = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
@@ -136,6 +136,16 @@ def test_columns_render_as_format_value(row_block, rows):
     # any float64 bit pattern and any non-negative int64, the kernel's cells
     # and its per-value repr fallback alike
     assert _rendered(*zip(*rows)) == "".join(line + "\n" for line in _rows_formula(rows))
+
+
+@pytest.mark.parametrize("kinds", ["f", "i", "fi", "fif", "ififf"])
+def test_cells_do_not_depend_on_their_column(row_block, kinds):
+    # each cell's bytes sit at fixed offsets of a fixed-width block; a cell
+    # must render alike whatever column it is in and whatever its neighbours
+    floats = np.array(_EDGES + [-f for f in _EDGES])
+    ints = np.resize([0, -1, 9, 10, 9999, 10**4, 2**63 - 1, -(2**63)], floats.size)
+    columns = [np.roll(floats if k == "f" else ints, i) for i, k in enumerate(kinds)]
+    assert _rendered(*columns) == "".join(line + "\n" for line in _rows_formula(zip(*columns)))
 
 
 def _dense_floats():

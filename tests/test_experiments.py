@@ -52,6 +52,10 @@ def test_config_validation():
         RateExperimentConfig(**{**ok, "reps": 1})
     with pytest.raises(InputError):
         RateExperimentConfig(**{**ok, "alpha": 0.0})
+    for seed in (-1, 1.5, "3", True):
+        with pytest.raises(InputError, match="master_seed"):
+            RateExperimentConfig(**{**ok, "master_seed": seed})
+    assert RateExperimentConfig(**{**ok, "master_seed": np.int64(7)}).master_seed == 7
 
 
 def test_rate_experiment_needs_a_worker():
@@ -246,6 +250,17 @@ def test_trace_shapes_and_validation():
         as_trace(LAW, 2.0, [8, 4], 3, master_seed=1)
     with pytest.raises(InputError):
         as_trace(LAW, 2.0, [4, 8], 0, master_seed=1)
+
+
+def test_negative_seed_fails_before_any_stream(monkeypatch):
+    def no_stream(*args):
+        raise AssertionError("a stream was derived")
+
+    monkeypatch.setattr(renewalbm.experiments, "derived_rng", no_stream)
+    with pytest.raises(InputError, match="master_seed"):
+        run_rate_experiment(RateExperimentConfig(law=LAW, k=2.0, n_grid=(4, 8), reps=2, master_seed=-1))
+    with pytest.raises(InputError, match="master_seed"):
+        as_trace(LAW, 2.0, [4, 8], 3, master_seed=-1)
 
 
 def test_trace_uses_its_own_streams_and_the_default_grid():
