@@ -7,7 +7,8 @@ choices, and flags override the file. Unknown keys are rejected. Each
 command writes its artifacts and returns its summary items; main prints them
 after the law's as one line. Exit codes: 0 success, 2 bad input
 (errors.InputError, raised where the input enters), 3 a request past the
-allocation budget or a failed allocation, 1 anything else.
+allocation budget or the step budget, or a failed allocation, 1 anything
+else.
 """
 
 from __future__ import annotations

@@ -9,11 +9,23 @@ the transport path is the piecewise-linear interpolation of (transport
 clock, skeleton) and the Brownian path hits the same skeleton at its own
 clock times.
 
+A realization is a function of its random streams and one stop rule. The
+levels, the exit uniforms, the signs and the grid walk each come from their
+own child stream of the generator passed in (streams.child_streams), so
+both engines draw the same levels from the same generator, and no bit
+depends on a block size. Both engines stop at
+M = max(target, first_cover + 2, first m with Gamma_m > 1,
+first m with Lambda_m >= 1), target = floor(1 / mean_step) + 2: both clocks
+have passed 1 and two spare segments follow coverage (_Stop).
+
 Exact engine: exact_blocks draws, inverts and reduces the steps in blocks of
 at most EXACT_BLOCK, carrying the clocks and the skeleton from block to
-block, and stops once both clocks have passed 1 and two spare segments
-follow coverage. Its memory does not grow with n; build_coupled_realization
-concatenates the same blocks into one CoupledRealization.
+block, and cuts the block where M falls. Its memory does not grow with n;
+build_coupled_realization concatenates the same blocks into one
+CoupledRealization.
+
+Grid walk: one N(0, h) walk, drawn SUP_BLOCK points at a time as the exit
+scan and the diagnostics reach it (_Walk).
 
 Exit detection (grid engine): a walk observed only at grid points passes a
 barrier by about 0.5826 * sqrt(h) before the scan sees it, so scanning for
@@ -38,14 +50,16 @@ evaluating every grid time, to the last bit.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, InputError, check_budget
+from .errors import ConsistencyError, InputError, check_budget, check_steps
 from .exit_times import _tables, first_crossing, invert_unit_cdf
 from .laws import JumpLaw, sample_jumps
+from .streams import child_streams
 from .transport import ScalingSchedule
 
 GRID_STEP_DIVISOR = 1000
@@ -54,13 +68,13 @@ GRID_STEP_DIVISOR = 1000
 # Glasserman & Kou, Math. Finance 1997). Scanning for level - shift * sqrt(h)
 # lands detected exits on the level instead of late.
 BGK_SHIFT = 0.5825971579390107
-# Grid points per block of _build_grid's initial walk: a block's
-# increments stay in cache.
+# Grid points per block of the grid walk: a block's increments stay in
+# cache. A memory bound only: no bit depends on it.
 SUP_BLOCK = 1 << 16
 # Relative margin on sup_distance's per-segment gap bounds.
 SUP_MARGIN = 1e-12
 # Embedding steps per block of the exact engine: its memory does not grow
-# with n.
+# with n. A memory bound only: no bit depends on it.
 EXACT_BLOCK = 1 << 16
 
 
@@ -141,16 +155,9 @@ class CoupledRealization:
         return float(val) if np.isscalar(t) or arr.ndim == 0 else val
 
 
-def sample_exit_level(
-    law: JumpLaw,
-    schedule: ScalingSchedule,
-    rng: np.random.Generator,
-    size: int | None = None,
-):
+def sample_exit_level(law: JumpLaw, schedule: ScalingSchedule, rng: np.random.Generator, size: int | None = None):
     """Draw embedding levels: (time_scale / normalizer) times a jump draw."""
-    scale = schedule.time_scale / schedule.normalizer
-    draws = sample_jumps(law, rng, size)
-    return scale * draws
+    return schedule.time_scale / schedule.normalizer * sample_jumps(law, rng, size)
 
 
 def _target_steps(schedule: ScalingSchedule) -> int:
@@ -159,36 +166,58 @@ def _target_steps(schedule: ScalingSchedule) -> int:
     return int(1.0 / schedule.mean_step) + 2
 
 
-def _batch_size(target: int, drawn: int) -> int:
-    # The next draw after `drawn` steps: what is left of a first batch of
-    # target + 4 sqrt(target) + 16 steps, then max(64, target // 4) at a time.
-    first = target + int(4.0 * math.sqrt(target)) + 16
-    return first - drawn if drawn < first else max(64, target // 4)
+class _Stop:
+    """The stop rule of both engines: M = max(target, first_cover + 2,
+    first m with Gamma_m > 1, first m with Lambda_m >= 1), with
+    target = floor(1 / mean_step) + 2.
 
+    Both clocks never decrease, so each term is read off the first block of
+    clock values that reaches it. need is M without its Lambda term (inf
+    until known); the grid engine, which learns Lambda one step at a time,
+    stops at the first m >= need with Lambda_m >= 1, which is M.
+    """
 
-def _enough_steps(count: int, target: int, first_cover: int | None) -> bool:
-    # The transport clock has covered [0, 1] and two spare segments follow.
-    return first_cover is not None and count >= max(target, first_cover + 2)
+    def __init__(self, schedule):
+        self.target = _target_steps(schedule)
+        # Steps drawn at a time: M falls within the first target +
+        # 4 sqrt(target) + 16 in nearly every realization.
+        self.block = self.target + int(4.0 * math.sqrt(self.target)) + 16
+        # first m with Gamma_m >= 1; M without its Lambda term; first m with Lambda_m >= 1
+        self.first_cover, self.need, self.lam = None, math.inf, math.inf
+
+    def transport(self, start, path_times):
+        """Read Gamma_{start+1}, Gamma_{start+2}, ... of one block."""
+        if self.first_cover is None and path_times[-1] >= 1.0:
+            self.first_cover = start + 1 + int(np.searchsorted(path_times, 1.0, side="left"))
+        if self.need == math.inf and path_times[-1] > 1.0:
+            past = start + 1 + int(np.searchsorted(path_times, 1.0, side="right"))
+            self.need = max(self.target, self.first_cover + 2, past)
+
+    def cut(self, block):
+        """The steps of block up to M, or None while M lies past its end."""
+        self.transport(block.start, block.path_times)
+        if self.lam == math.inf and block.bm_times[-1] >= 1.0:
+            self.lam = block.start + 1 + int(np.searchsorted(block.bm_times, 1.0, side="left"))
+        stop = max(self.need, self.lam)
+        return None if stop > block.start + block.n_steps else int(stop) - block.start
 
 
 def build_coupled_realization(
-    law: JumpLaw,
-    schedule: ScalingSchedule,
-    rng: np.random.Generator,
-    *,
-    engine: str = "grid",
-    grid_step: float | None = None,
+    law: JumpLaw, schedule: ScalingSchedule, rng: np.random.Generator, *,
+    engine: str = "grid", grid_step: float | None = None,
 ) -> CoupledRealization:
-    """Run the embedding until the transport clock passes 1 (the exact
-    engine: until both clocks have).
+    """Run the embedding to the stop rule M (see _Stop): both clocks have
+    passed 1 and two spare segments follow coverage.
 
+    Each engine draws from the child streams of rng (streams.child_streams),
+    the levels from the same one, so both engines share their levels.
     engine="exact" concatenates the blocks of exact_blocks, which invert the
     unit exit distribution per step and realize no Brownian values between
     skeleton points; the running step count is checked against
     errors.ALLOC_BUDGET_BYTES before the blocks are concatenated. engine="grid"
     advances one shared N(0, h) walk (h defaults to mean_step/1000) and detects
     each exit as the first grid point past xi - BGK_SHIFT * sqrt(h); the walk
-    is kept, extended past every time the diagnostics read. Every walk array is
+    is kept up to every time the diagnostics read. Every walk array is
     checked against the budget before it is allocated. Both raise BudgetError.
     """
     if engine not in ("exact", "grid"):
@@ -197,10 +226,8 @@ def build_coupled_realization(
         if grid_step is not None:
             raise InputError("grid_step only applies to the grid engine")
         blocks = []
-        steps = 0
         for block in exact_blocks(law, schedule, rng):
-            steps += block.n_steps
-            check_budget(steps + 1, "exact realization array")
+            check_budget(block.start + block.n_steps + 1, "exact realization array")
             blocks.append(block)
         return _assemble(law, schedule, "exact", blocks, None, None)
     h = schedule.mean_step / GRID_STEP_DIVISOR if grid_step is None else float(grid_step)
@@ -209,150 +236,168 @@ def build_coupled_realization(
     return _build_grid(law, schedule, rng, h)
 
 
-def _draw_batches(law, schedule, rng, want):
-    levels = sample_exit_level(law, schedule, rng, want)
-    u = rng.random(want)
-    signs = rng.integers(0, 2, want) * 2 - 1
-    return levels, u, signs
+def _exact_steps(law, schedule, streams, size):
+    # The next size levels, signs and exit times, each from its own stream.
+    levels_rng, exits_rng, signs_rng, _ = streams
+    levels = sample_exit_level(law, schedule, levels_rng, size)
+    signs = signs_rng.integers(0, 2, size) * 2 - 1
+    return levels, signs, levels * levels * invert_unit_cdf(exits_rng.random(size))
 
 
 def sample_embedding_steps(law, schedule, steps, rng):
     """Draw a fixed number of independent embedding steps, no path built.
 
-    Returns (levels, signs, exit_times, durations) with the same per-step
-    marginals and draw order as one exact-engine block; meant for marginal
-    checks that want many more steps than one covering realization holds.
+    Returns (levels, signs, exit_times, durations): the first steps an exact
+    realization from the same rng would take, drawn through the same
+    streams; meant for marginal checks that want many more steps than one
+    covering realization holds.
     """
     if steps < 1:
         raise InputError("steps must be positive")
-    levels, u, signs = _draw_batches(law, schedule, rng, int(steps))
-    exit_times = levels * levels * invert_unit_cdf(u)
+    levels, signs, exit_times = _exact_steps(law, schedule, child_streams(rng), int(steps))
     return levels, signs, exit_times, schedule.normalizer * levels
 
 
 def exact_blocks(law, schedule, rng):
-    """Yield the exact engine's steps as StepBlocks of at most EXACT_BLOCK steps.
+    """The exact engine's steps as a stream of StepBlocks of at most EXACT_BLOCK steps.
 
-    Each block draws its levels, uniforms and signs in that order, inverts the
-    unit exit distribution for its exit times, and carries the clocks and the
-    skeleton over from the block before. The first target + 4 sqrt(target) + 16
-    steps (target = floor(1 / mean_step) + 2) are drawn first, in blocks; after
-    them every block has max(64, target // 4) steps, capped likewise. The
-    stream stops at the end of the first block where Gamma_M > 1,
-    Lambda_M >= 1 and M >= max(target, first_cover + 2): both clocks have
-    passed 1 and two spare segments follow coverage. A block depends only on
-    its own draws and the carry, so the steps do not depend on how a consumer
-    holds them.
+    Levels, exit uniforms and signs each come from their own child stream of
+    rng; each block inverts the unit exit distribution for its exit times
+    and carries the clocks and the skeleton over from the block before. The
+    stream ends with the block where the stop rule's M falls, cut at M.
+    Blocks hold target + 4 sqrt(target) + 16 steps (target =
+    floor(1 / mean_step) + 2), at most EXACT_BLOCK; no bit depends on
+    either, so the steps do not depend on how a consumer holds them.
+
+    The expected step count, target, is checked against errors.STEP_BUDGET
+    when this is called, before any draw or file: BudgetError past it.
     """
+    check_steps(_target_steps(schedule), "exact realization")
+    return _exact_stream(law, schedule, child_streams(rng))
+
+
+def _exact_stream(law, schedule, streams):
     # The inversion tables live as long as the process. Built here, before
     # the first block's arrays, they do not sit above those arrays in the
     # heap and keep it from shrinking once the blocks are freed.
     _tables()
-    target = _target_steps(schedule)
+    stop = _Stop(schedule)
     count = 0
-    first_cover = None
     carry = None
     while True:
-        size = min(EXACT_BLOCK, _batch_size(target, count))
-        block = _exact_block(law, schedule, rng, count, size, carry)
-        count += size
+        steps = _exact_steps(law, schedule, streams, min(EXACT_BLOCK, stop.block))
+        block = _step_block(schedule, count, *steps, carry)
+        keep = stop.cut(block)
+        if keep is not None:
+            yield _step_block(schedule, count, *(x[:keep] for x in steps), carry)
+            return
+        count += block.n_steps
         carry = (block.path_times[-1], block.bm_times[-1], block.skeleton[-1])
-        if first_cover is None:
-            j = int(np.searchsorted(block.path_times, 1.0, side="left"))
-            if j < size:
-                first_cover = block.start + j + 1
         yield block
         # Not held while the next block is drawn: a consumer that lets go of
         # each block in turn holds one block at a time.
         del block
-        if carry[0] > 1.0 and carry[1] >= 1.0 and _enough_steps(count, target, first_cover):
-            return
 
 
-def _exact_block(law, schedule, rng, start, size, carry):
-    levels, u, signs = _draw_batches(law, schedule, rng, size)
-    sigmas = levels * levels * invert_unit_cdf(u)
-    return _step_block(schedule, start, levels, signs, sigmas, carry)
+class _Walk:
+    """The grid walk w_i = w_{i-1} + sqrt(h) * Z_i, w_0 = 0, drawn from its
+    own stream SUP_BLOCK points at a time as the scan and the diagnostics
+    reach it.
+
+    values is the drawn prefix. Each block's cumulative sum starts from the
+    carry, which gives the bits of one cumsum over all the increments, so
+    no bit depends on the block size. The array starts at the size it is
+    given and grows by a quarter, checked as an "extended grid walk", when
+    a block would pass its end.
+    """
+
+    def __init__(self, rng, h, points):
+        check_budget(points, "initial grid walk")
+        self._rng, self._h = rng, h
+        self._buf = np.empty(points)
+        self._buf[0] = 0.0
+        # Per drawn block: its end index b and the largest |w_{i+1} - w_i|, i < b.
+        self._ends, self._tops = [], []
+        self.values = self._buf[:1]
+        self._draw()
+
+    def _draw(self):
+        a = len(self.values) - 1
+        if a + 1 == len(self._buf):
+            size = len(self._buf) + len(self._buf) // 4
+            check_budget(size, "extended grid walk")
+            grown = np.empty(size)
+            grown[: a + 1] = self.values
+            self._buf = grown
+        inc = self._rng.standard_normal(min(SUP_BLOCK, len(self._buf) - 1 - a))
+        inc *= math.sqrt(self._h)
+        if a:
+            inc[0] += self._buf[a]
+        b = a + len(inc)
+        np.cumsum(inc, out=self._buf[a + 1 : b + 1])
+        np.subtract(self._buf[a + 1 : b + 1], self._buf[a:b], out=inc)
+        self._ends.append(b)
+        self._tops.append(float(np.abs(inc, out=inc).max()))
+        self.values = self._buf[: b + 1]
+
+    def crossing(self, start, level, chunk):
+        """first_crossing from start, drawing blocks until the walk crosses."""
+        while (j := first_crossing(self.values, start, level, chunk=chunk)) < 0:
+            self._draw()
+        return j
+
+    def path(self, last):
+        """GridPath of w_0..w_last; max_increment is max |w_{i+1} - w_i|, i < last."""
+        while len(self.values) <= last:
+            self._draw()
+        whole = bisect.bisect_right(self._ends, last)
+        a = self._ends[whole - 1] if whole else 0
+        tail = float(np.abs(np.diff(self.values[a : last + 1])).max(initial=0.0))
+        top = max([tail, *self._tops[:whole]])
+        return GridPath(step=self._h, values=self.values[: last + 1], max_increment=top)
 
 
 def _build_grid(law, schedule, rng, h):
+    levels_rng, _, _, walk_rng = child_streams(rng)
     sqrt_h = math.sqrt(h)
-    target = _target_steps(schedule)
-    est = int(1.10 * max(1.0, (target + 2) * schedule.mean_step) / h) + 1024
-    check_budget(est + 1, "initial grid walk")
-
-    # Drawn and summed a block at a time, with the walk so far carried into
-    # each block's first increment: the same draws and bits as one cumsum of
-    # all increments, without holding them all.
-    walk = np.empty(est + 1)
-    walk[0] = 0.0
-    max_inc = 0.0
-    for a in range(0, est, SUP_BLOCK):
-        inc = rng.standard_normal(min(SUP_BLOCK, est - a))
-        inc *= sqrt_h
-        max_inc = max(max_inc, float(inc.max()), float(-inc.min()))
-        if a:
-            inc[0] += walk[a]
-        np.cumsum(inc, out=walk[a + 1 : a + 1 + len(inc)])
-
-    def extend(extra):
-        nonlocal walk, max_inc
-        check_budget(len(walk) + extra, "extended grid walk")
-        more = rng.standard_normal(extra) * sqrt_h
-        max_inc = max(max_inc, float(np.abs(more).max()))
-        walk = np.concatenate([walk, walk[-1] + np.cumsum(more)])
-
-    ext_block = max(est // 4, 1024)
-    parts = []
-    exits = [0]
-    clock = 0.0
-    count = 0
-    first_cover = None
-    while True:
-        batch = sample_exit_level(law, schedule, rng, _batch_size(target, count))
+    stop = _Stop(schedule)
+    est = int(1.10 * max(1.0, (stop.target + 2) * schedule.mean_step) / h) + 1024
+    walk = _Walk(walk_rng, h, est + 1)
+    parts, exits, lam, clock = [], [0], 0.0, None
+    while len(exits) <= stop.need or lam < 1.0:
+        count = len(exits) - 1
+        batch = sample_exit_level(law, schedule, levels_rng, stop.block)
         # The transport clock after each step, summed left to right from the
-        # carry, and from it the step at which the build stops.
+        # carry, gives the stop rule's transport terms before the scan.
         clocks = _running_sum(schedule.normalizer * batch, clock)
-        if first_cover is None and clocks[-1] >= 1.0:
-            first_cover = count + int(np.argmax(clocks >= 1.0)) + 1
-        if first_cover is not None:
-            batch = batch[: max(target, first_cover + 2) - count]
-        count += len(batch)
-        clock = float(clocks[len(batch) - 1])
-        parts.append(batch)
+        clock = clocks[-1]
+        stop.transport(count, clocks)
+        need = stop.need
         # A level below the correction gives a barrier <= 0: exit on the next step.
         barriers = (batch - BGK_SHIFT * sqrt_h).tolist()
         # min(65536, max(64, int(3 level^2 / h) + 16)), capped before the
         # cast so that no level overflows int64.
         chunks = np.minimum(3.0 * batch * batch / h, 65536.0).astype(np.int64) + 16
         for barrier, chunk in zip(barriers, np.clip(chunks, 64, 65536).tolist()):
-            j = first_crossing(walk, exits[-1], barrier, chunk=chunk)
-            while j < 0:
-                extend(ext_block)
-                j = first_crossing(walk, exits[-1], barrier, chunk=chunk)
+            j = walk.crossing(exits[-1], barrier, chunk)
+            # Lambda_m with the bits of the running sum _step_block stores.
+            lam += (j - exits[-1]) * h
             exits.append(j)
-        if _enough_steps(count, target, first_cover):
-            break
+            if lam >= 1.0 and len(exits) > need:
+                break
+        parts.append(batch[: len(exits) - 1 - count])
 
-    levels = np.concatenate(parts)
     bm_index = np.asarray(exits, dtype=np.int64)
-    signs_arr = np.where(walk[bm_index[1:]] - walk[bm_index[:-1]] > 0, 1, -1).astype(np.int64)
-    sigmas = np.diff(bm_index) * h
-
-    real = _assemble(
-        law, schedule, "grid", [_step_block(schedule, 0, levels, signs_arr, sigmas, None)],
-        GridPath(step=h, values=walk, max_increment=max_inc), bm_index,
-    )
-    # Extend the walk past everything the diagnostics read: grid times up to
-    # 1, lattice times m * mean_step, and the transport clock knots.
-    m_dec = max(int(1.0 / schedule.mean_step), first_cover)
-    need_time = max(1.0, float(real.path_times[m_dec + 1]), m_dec * schedule.mean_step)
-    need_idx = int(need_time / h) + 2
-    if need_idx >= len(walk):
-        extend(need_idx - len(walk) + 1)
-        real.grid.values = walk
-        real.grid.max_increment = max_inc
-    return real
+    w = walk.values
+    signs = np.where(w[bm_index[1:]] - w[bm_index[:-1]] > 0, 1, -1).astype(np.int64)
+    block = _step_block(schedule, 0, np.concatenate(parts), signs, np.diff(bm_index) * h, None)
+    # The walk reaches the last exit and everything the diagnostics read:
+    # grid times up to 1, lattice times m * mean_step, and the transport
+    # clock knots up to Gamma_{m_dec + 1}.
+    m_dec = max(int(1.0 / schedule.mean_step), stop.first_cover)
+    need_time = max(1.0, float(block.path_times[m_dec]), m_dec * schedule.mean_step)
+    last = max(int(need_time / h) + 2, exits[-1])
+    return _assemble(law, schedule, "grid", [block], walk.path(last), bm_index)
 
 
 def _running_sum(steps, carry):
@@ -409,9 +454,7 @@ def _assemble(law, schedule, engine, blocks, grid, bm_index):
 
 def _require_grid(real: CoupledRealization) -> GridPath:
     if real.grid is None:
-        raise InputError(
-            "this realization has no grid path; sup distances need engine='grid'"
-        )
+        raise InputError("this realization has no grid path; sup distances need engine='grid'")
     return real.grid
 
 
@@ -545,21 +588,16 @@ def decompose_sup(real: CoupledRealization) -> SupDecomposition:
     sched = real.schedule
     m_dec = max(int(1.0 / sched.mean_step), real.first_cover)
 
-    lam_idx = real.bm_index[: m_dec + 1]
-    gam_idx = np.minimum((real.path_times[: m_dec + 2] / h).astype(np.int64), len(w) - 1)
-    lattice_idx = np.minimum(
-        (np.arange(m_dec + 1) * sched.mean_step / h).astype(np.int64), len(w) - 1
-    )
-
-    at_lambda = w[lam_idx]
-    at_lattice = w[lattice_idx]
-    at_gamma = w[gam_idx[: m_dec + 1]]
+    # The builder draws the walk past every index read here.
+    gam_idx = (real.path_times[: m_dec + 2] / h).astype(np.int64)
+    starts, ends = gam_idx[:-1], gam_idx[1:]
+    at_lambda = w[real.bm_index[: m_dec + 1]]
+    at_lattice = w[(np.arange(m_dec + 1) * sched.mean_step / h).astype(np.int64)]
+    at_gamma = w[starts]
     j1 = float(np.abs(at_lambda - at_lattice).max())
     j2 = float(np.abs(at_gamma - at_lattice).max())
 
     # Window maxima of |w - anchor| over [gam_idx[m], gam_idx[m+1]] per m.
-    starts = gam_idx[: m_dec + 1]
-    ends = gam_idx[1 : m_dec + 2]
     reduce_idx = np.concatenate([starts, ends[-1:]])
     win_max = np.maximum(np.maximum.reduceat(w, reduce_idx)[:-1], w[ends])
     win_min = np.minimum(np.minimum.reduceat(w, reduce_idx)[:-1], w[ends])
@@ -570,9 +608,7 @@ def decompose_sup(real: CoupledRealization) -> SupDecomposition:
     drift = float(np.abs(real.skeleton[: m_dec + 1] - at_lambda).max())
     slack = drift + 2.0 * grid.max_increment
     sup = sup_distance(real, "grid")
-    dec = SupDecomposition(
-        j1=j1, j2=j2, j3=j3, j4=j4, sup=sup, slack=slack, segments=m_dec
-    )
+    dec = SupDecomposition(j1=j1, j2=j2, j3=j3, j4=j4, sup=sup, slack=slack, segments=m_dec)
     if dec.bound_gap > 0:
         raise ConsistencyError(
             f"sup {sup} exceeds decomposition bound by {dec.bound_gap} "

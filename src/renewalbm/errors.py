@@ -2,7 +2,7 @@
 
 One class per outcome: InputError for input that fails its preconditions
 (command-line exit 2), BudgetError for a request past the allocation budget
-(exit 3), NumericError and ConsistencyError for failures on valid input
+or past the step budget (exit 3), NumericError and ConsistencyError for failures on valid input
 (exit 1). Inputs are checked where they enter: a JumpLaw when it is built, a
 schedule in scaling_constants, so code downstream does not check them again.
 """
@@ -13,6 +13,14 @@ schedule in scaling_constants, so code downstream does not check them again.
 # with BudgetError instead of exhausting memory.
 ALLOC_BUDGET_BYTES = 1 << 30
 
+# Largest expected step count, floor(1 / mean_step) + 2, of one exact
+# realization. The streamed exact engine holds one block at a time, so the
+# byte budget bounds neither its run time nor its output; this does, before
+# the first draw. A streamed couple wrote 1.15 M rows a second (n = 4096,
+# k = 2, 2-core box), so 2**28 steps take it about four minutes and 18 GB
+# of CSV; k = 2 is admitted up to n = 16383.
+STEP_BUDGET = 1 << 28
+
 
 class InputError(ValueError):
     """A law, schedule, parameter, evaluation time or command-line input
@@ -20,7 +28,8 @@ class InputError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """An array would exceed the allocation budget."""
+    """An array would exceed the allocation budget, or a realization the
+    step budget."""
 
 
 class NumericError(ArithmeticError):
@@ -37,4 +46,12 @@ def check_budget(points, what: str) -> None:
         raise BudgetError(
             f"{what} of {points:,.0f} points needs {8 * points:,.0f} bytes, "
             f"past the {ALLOC_BUDGET_BYTES:,}-byte allocation budget"
+        )
+
+
+def check_steps(steps, what: str) -> None:
+    """Raise BudgetError if a realization of about steps steps is past the step budget."""
+    if steps > STEP_BUDGET:
+        raise BudgetError(
+            f"{what} of about {steps:.3g} steps is past the step budget of {STEP_BUDGET:,} steps"
         )

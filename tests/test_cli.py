@@ -118,6 +118,20 @@ def test_unrunnable_exact_law_exits_at_once(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+def test_exact_couple_past_the_step_budget_exits_at_once(tmp_path):
+    # about 4e70 steps: refused before realization.csv is opened, in a child
+    # process with a timeout, so a regression fails instead of streaming
+    # without end
+    argv = ["couple", "--engine", "exact", "--law", "deterministic:1e-70", "--n", "2", "--out", str(tmp_path)]
+    done = subprocess.run(
+        [sys.executable, "-m", "renewalbm.cli", *argv],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert done.returncode == 3
+    assert done.stderr.startswith("error: exact realization of about 4e+70 steps is past the step budget")
+    assert not any(tmp_path.iterdir())
+
+
 # After parsing and after each command in turn, in one fresh interpreter:
 # whether scipy is loaded and how many exit-time tables are built.
 _COLD_START = """
@@ -239,17 +253,19 @@ def _printed(stdout):
 @pytest.mark.parametrize("law", ["uniform01", "two_point:0,1,0.5"])
 @pytest.mark.parametrize("n", [8, 32, 64])
 def test_streamed_exact_couple_writes_the_built_realization(tmp_path, capsys, monkeypatch, law, n):
-    # blocks of 64 steps: every realization spans several blocks, and the
-    # zero atom of two_point repeats knots and signs zeros
-    monkeypatch.setattr(renewalbm.coupling, "EXACT_BLOCK", 64)
-    argv = ["couple", "--engine", "exact", "--law", law, "--n", str(n), "--seed", "9"]
-    assert main(argv + ["--out", str(tmp_path)]) == 0
-    items = _printed(capsys.readouterr().out)
+    # The realization built with the default blocks, written whole ...
     jump_law = parse_law(law)
     real = build_coupled_realization(
         jump_law, scaling_constants(jump_law, 2.0, n), derived_rng(9, ROLE_COUPLE, n, 0), engine="exact"
     )
     write_realization_csv(tmp_path / "built.csv", real, 9)
+    # ... is what the command streams in blocks of 64 steps: every
+    # realization spans several blocks, and the zero atom of two_point
+    # repeats knots and signs zeros
+    monkeypatch.setattr(renewalbm.coupling, "EXACT_BLOCK", 64)
+    argv = ["couple", "--engine", "exact", "--law", law, "--n", str(n), "--seed", "9"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    items = _printed(capsys.readouterr().out)
     assert (tmp_path / "realization.csv").read_bytes() == (tmp_path / "built.csv").read_bytes()
     assert int(items["steps"]) == real.n_steps
     diag = embedding_diagnostics(real)

@@ -324,14 +324,16 @@ def test_sup_distance_reads_no_levels():
 
 def test_grid_engine_bits_are_pinned():
     # decompose_sup of three rate-stream realizations, bit for bit; a change
-    # that moves the grid engine's draw order or arithmetic must update these
+    # that moves the grid engine's draw order or arithmetic must update these.
+    # Re-recorded when each quantity moved to its own child stream and the
+    # build began to stop at the rule shared with the exact engine.
     want = [
-        ("0x1.898dec473e5c6p-2", "0x1.ddbe8d40c4870p-2", "0x1.7ace6512fac29p-2",
-         "0x1.6dec58ae831ccp-2", "0x1.36d9b559a5c86p-3", "0x1.5538d19e7726ep-5"),
-        ("0x1.4f473cc972eb3p-1", "0x1.75a99e4490e93p-1", "0x1.8bc4bb61a38f6p-2",
-         "0x1.3cf1e35ac3b5cp-2", "0x1.32fb9f2e6cf81p-3", "0x1.4dc2f09aa9e7ep-5"),
-        ("0x1.3f8a113e1a620p-1", "0x1.7176f399622cep-1", "0x1.88c5ca3e2de54p-2",
-         "0x1.322f26a22078cp-2", "0x1.37a2f59b81471p-3", "0x1.af30738f85a80p-5"),
+        ("0x1.3e427a4d90d08p-1", "0x1.62ada2eda533dp-1", "0x1.8568dbb12b28cp-2",
+         "0x1.2ad883347d606p-2", "0x1.332d6a39c8b01p-3", "0x1.be93c3eb3a6c4p-5"),
+        ("0x1.1275217eddb40p-1", "0x1.2090f921dab90p-1", "0x1.877a3828a2d33p-2",
+         "0x1.4a63e8f5df67cp-2", "0x1.38ca2cc088e14p-3", "0x1.5c561b173c080p-5"),
+        ("0x1.2c5200fc3cd38p-1", "0x1.15c2cf43dd79ep-1", "0x1.3d11df4057f76p-2",
+         "0x1.34d7418ea670dp-2", "0x1.3808290c0b7aap-3", "0x1.32e0c52f9b204p-5"),
     ]
     sched = scaling_constants(LAW, 2.0, 8)
     for rep, literals in enumerate(want):
@@ -390,20 +392,21 @@ def test_byte_budget_fits_n128_and_refuses_n256(monkeypatch):
 
 
 def test_grid_walk_extension_is_checked(monkeypatch):
-    # the initial n = 4 walk holds 40625 points; seed 3 runs past its end
+    # the initial n = 4 walk holds 40625 points; seed 35 runs past its end
     sched = scaling_constants(LAW, 2.0, 4)
     monkeypatch.setattr(renewalbm.errors, "ALLOC_BUDGET_BYTES", 8 * 40624)
     with pytest.raises(BudgetError, match="initial grid walk of 40,625 points"):
-        build_coupled_realization(LAW, sched, np.random.default_rng(3))
+        build_coupled_realization(LAW, sched, np.random.default_rng(35))
     monkeypatch.setattr(renewalbm.errors, "ALLOC_BUDGET_BYTES", 8 * 40625)
     with pytest.raises(BudgetError, match="extended grid walk"):
-        build_coupled_realization(LAW, sched, np.random.default_rng(3))
+        build_coupled_realization(LAW, sched, np.random.default_rng(35))
 
 
-@pytest.mark.parametrize("seed, misses", [(13, 2), (3, 0)])
+@pytest.mark.parametrize("seed, misses", [(35, 2), (3, 0)])
 def test_grid_scan_calls_first_crossing_once_per_step_and_extension(monkeypatch, seed, misses):
     # The benchmark counts the scan's calls through this module-level name.
-    # At n = 4, seed 13 runs past the initial walk twice; seed 3 never does.
+    # At n = 4 the walk's first block fills the initial array, so a scan
+    # that runs past it grows the walk: seed 35 does twice, seed 3 never.
     calls, extensions = [], []
     crossing, budget = renewalbm.coupling.first_crossing, renewalbm.coupling.check_budget
 
@@ -420,27 +423,76 @@ def test_grid_scan_calls_first_crossing_once_per_step_and_extension(monkeypatch,
     real = build_coupled_realization(LAW, scaling_constants(LAW, 2.0, 4), np.random.default_rng(seed))
     assert sum(j < 0 for j in calls) == misses
     assert len(calls) == real.n_steps + misses
-    # each miss extends the walk once; one more extension may follow the scan
+    # each miss extends the walk once; one more extension may follow the
+    # scan, for the times the diagnostics read
     assert sum(extensions) - misses in (0, 1)
     assert [j for j in calls if j >= 0] == real.bm_index[1:].tolist()
 
 
+def _stop_step(real, target):
+    # The stop rule in closed form, read off the stored clocks:
+    # max(target, first_cover + 2, first m with Gamma_m > 1, first m with Lambda_m >= 1).
+    gamma, lam = real.path_times, real.bm_times
+    cover = int(np.searchsorted(gamma, 1.0, side="left"))
+    return max(target, cover + 2, int(np.argmax(gamma > 1.0)), int(np.argmax(lam >= 1.0)))
+
+
 def test_exact_stream_stops_past_both_clocks(monkeypatch):
-    # target 3 makes the first batch 3 + 6 + 16 = 25 steps and later blocks
-    # 64, where n = 10 needs about 200: the stream must keep drawing until
-    # both clocks have passed 1, not stop once the transport clock has
+    # target 3 makes blocks of 3 + 6 + 16 = 25 steps, where n = 10 needs
+    # about 200: the stream must keep drawing until both clocks have passed
+    # 1, not stop once the transport clock has
     monkeypatch.setattr(renewalbm.coupling, "_target_steps", lambda schedule: 3)
     short = 0
     for seed in range(40):
         real = build_coupled_realization(LAW, SCHED10, np.random.default_rng(seed), engine="exact")
         assert real.bm_times[-1] >= 1.0
         assert real.path_times[-1] > 1.0
-        assert real.n_steps >= real.first_cover + 2
-        # the first block end a transport-clock-only rule would stop at
-        ends = np.arange(25, real.n_steps + 1, 64)
-        early = int(ends[np.argmax(ends >= real.first_cover + 2)])
-        short += real.bm_times[early] < 1.0
+        assert real.n_steps == _stop_step(real, 3)
+        # where a transport-clock-only rule would have stopped
+        short += real.bm_times[real.first_cover + 2] < 1.0
     assert short > 0
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_both_engines_end_at_the_closed_form_stop(n):
+    sched = scaling_constants(LAW, 2.0, n)
+    target = int(1.0 / sched.mean_step) + 2
+    for rep in range(40):
+        for engine in ("grid", "exact"):
+            real = build_coupled_realization(LAW, sched, derived_rng(777, ROLE_RATE, n, rep), engine=engine)
+            assert real.n_steps == _stop_step(real, target)
+            assert real.path_times[-1] > 1.0 and real.bm_times[-1] >= 1.0
+
+
+def test_both_engines_draw_the_same_levels():
+    sched = scaling_constants(LAW, 2.0, 16)
+    for rep in range(5):
+        grid, exact = (
+            build_coupled_realization(LAW, sched, derived_rng(5, ROLE_RATE, 16, rep), engine=engine)
+            for engine in ("grid", "exact")
+        )
+        m = min(grid.n_steps, exact.n_steps)
+        assert m > 500
+        assert grid.levels[:m].tobytes() == exact.levels[:m].tobytes()
+        assert grid.durations[:m].tobytes() == exact.durations[:m].tobytes()
+    # and sample_embedding_steps draws an exact realization's first steps
+    levels, signs, exit_times, _ = sample_embedding_steps(LAW, sched, 100, derived_rng(5, ROLE_RATE, 16, 4))
+    assert levels.tobytes() == exact.levels[:100].tobytes()
+    assert signs.tobytes() == exact.signs[:100].tobytes()
+    assert exit_times.tobytes() == exact.exit_times[:100].tobytes()
+
+
+def test_exact_step_budget_refuses_before_the_first_draw(monkeypatch):
+    law = deterministic(1e-70)
+    sched = scaling_constants(law, 2.0, 2)  # about 4e70 steps
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(BudgetError, match=r"about 4e\+70 steps is past the step budget of 268,435,456"):
+        exact_blocks(law, sched, rng)
+    assert rng.bit_generator.state == state
+    monkeypatch.setattr(renewalbm.errors, "STEP_BUDGET", 100)
+    with pytest.raises(BudgetError, match="step budget of 100 steps"):
+        build_coupled_realization(LAW, SCHED10, rng, engine="exact")
 
 
 @pytest.mark.parametrize("law", [uniform01(), two_point(0.0, 1.0, 0.5)], ids=["uniform01", "two_point"])
@@ -483,14 +535,17 @@ def test_first_grid_index_matches_a_search_of_the_grid_times(h, data):
 
 
 def test_grid_walk_bits_do_not_depend_on_the_block():
+    # seed 35 grows the n = 4 walk past its initial array twice
     sched = scaling_constants(LAW, 2.0, 4)
-    whole = build_coupled_realization(LAW, sched, np.random.default_rng(6))
-    for block in (7, 1000):
-        with mock.patch.object(renewalbm.coupling, "SUP_BLOCK", block):
-            blocked = build_coupled_realization(LAW, sched, np.random.default_rng(6))
-        assert blocked.grid.values.tobytes() == whole.grid.values.tobytes()
-        assert blocked.grid.max_increment == whole.grid.max_increment
-        assert sup_distance(blocked) == sup_distance(whole)
+    for seed in (6, 35):
+        whole = build_coupled_realization(LAW, sched, np.random.default_rng(seed))
+        for block in (7, 1000):
+            with mock.patch.object(renewalbm.coupling, "SUP_BLOCK", block):
+                blocked = build_coupled_realization(LAW, sched, np.random.default_rng(seed))
+            assert blocked.grid.values.tobytes() == whole.grid.values.tobytes()
+            assert blocked.bm_index.tobytes() == whole.bm_index.tobytes()
+            assert blocked.grid.max_increment == whole.grid.max_increment
+            assert sup_distance(blocked) == sup_distance(whole)
 
 
 def test_grid_build_and_sup_hold_about_one_walk():

@@ -186,23 +186,23 @@ def test_dense_floats_render_as_repr():
 # sha256 and size of files written by commit 34dc84f, the last commit that
 # rendered each cell with repr (gof_summary.txt: by commit 1b82eca, before
 # the table layout moved into one writer); any change to these bytes is a
-# change of draws or of format. The exact couple is re-recorded since the
-# inversion starts from a cubic Hermite interpolant: every exit time still
-# has |F(t) - u| <= PROB_TOL but moved in its last bits, so Lambda moved by
-# at most 4.5e-12 and only that column changed.
+# change of draws or of format. The coupled outputs (both couples, rate and
+# trace) are re-recorded since a coupled realization draws each quantity
+# from its own child stream and both engines stop at one rule; the
+# simulate-path and gof files draw nothing coupled and keep their bytes.
 _PINNED = [
     (["couple", "--engine", "exact", "--n", "64", "--seed", "11"], {
-        "realization.csv": ("4304ab19701ba54dd2537a4b06c5f22b9ee73a6319e745e8cffa07202204d7d7", 662536)}),
+        "realization.csv": ("db35fcc5c8d8c65b016fb21d1132f1a055f2e438224565acf583411e9739a0bd", 521536)}),
     (["couple", "--engine", "grid", "--n", "8", "--seed", "12", "--export-grid-path"], {
-        "realization.csv": ("772fa232db11df574015c93a32e44c8b01da8fac7742407a66b63810d0fecea5", 7809),
-        "grid_path.csv": ("1bde6da3791c7a5ee5d0772f31139ecb709481f49f0e68d2689ef62dc112fc5d", 4847254)}),
+        "realization.csv": ("57e1a3ef9d626e1f56b5457a5ab78a416d5f9f1ff6da8a81dbed0b87f220cd6a", 8604),
+        "grid_path.csv": ("6632ed5812d15542ca3ff717934f00195439ef75c6ac412d2db45fd073fb3edb", 4312129)}),
     (["simulate-path", "--n", "20", "--seed", "13"], {
         "transport_path.csv": ("6a03365c2048fba6df784b81093edca19f264e360bc7a0e674691eddee6c51e3", 14509)}),
     (["rate", "--n-grid", "4,8", "--reps", "6", "--seed", "14"], {
-        "rate.csv": ("6fb2c7bc6aac7a598a91f2e3433f2ed7c24fbd20b801a0d51edaa6434d464250", 534),
-        "rate_summary.txt": ("8ff2ca1d541246bb6e6223dc42075087e5f71023d6c6ad720542d7ba570d09c5", 390)}),
+        "rate.csv": ("99bd6441997e0a175b7fdd879c62897c247fb63ef7cb6e9b111e7c92ab654e99", 536),
+        "rate_summary.txt": ("429f99064e18d920803fefe57bf4ed8e5f63059ed85b13e531acb87b8051ed99", 389)}),
     (["trace", "--n-grid", "4,8", "--reps", "6", "--seed", "15"], {
-        "trace.csv": ("4d82ec90178b07bf7f0faf56ebed5da4f2517f6fda7510f88c3abd951f27f6b0", 405)}),
+        "trace.csv": ("91d3887132ac73fa5c32c730589a33aa40e4d4e8d5ab69c11599af3c1d5c52da", 374)}),
     (["gof", "--n", "8", "--reps", "200", "--seed", "16"], {
         "gof_summary.txt": ("a105e78a393a69f5e348a2e6d9461e945ecacf37ebb2beb543f757b623549541", 261)}),
 ]
