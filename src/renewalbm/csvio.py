@@ -23,6 +23,8 @@ format_value instead.
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 
 from ._version import __version__
@@ -357,9 +359,9 @@ def write_rate_csv(file, result) -> None:
         alpha="auto" if cfg.alpha is None else cfg.alpha,
         seed=cfg.master_seed,
     )
+    # One column per RateRow field, in the field order.
     header = ("n", "mean_J", "median_J", "q90_J", "exceedance", "J1", "J2", "J3", "J4")
-    fields = ("n", "mean_j", "median_j", "q90_j", "exceedance", "mean_j1", "mean_j2", "mean_j3", "mean_j4")
-    columns = [[getattr(row, f) for row in result.rows] for f in fields]
+    columns = list(zip(*map(astuple, result.rows)))
     footer = [
         "fit " + _kv({"slope": result.slope, "intercept": result.intercept, "r_squared": result.r_squared}),
         _kv({"alpha": result.alpha, "complete": result.complete}),

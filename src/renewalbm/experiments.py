@@ -1,16 +1,20 @@
 """Monte Carlo harnesses: rate measurement, trend traces, and fit checks.
 
-The rate harness drives grid-engine couplings across a ladder of scales n,
-records the sup distance J and its four-term split per realization, and fits
+The rate harness drives grid-engine couplings across a ladder of scales n.
+Each replication returns one record, the floats named by RECORD: the sup
+distance J, its four-term split and three diagnostics. Each rung gathers
+its records into one column per name, in rep order, and the harnesses read
+those columns: rate reduces them to a RateRow per rung (mean, median, 0.9
+quantile and exceedance of J, mean of each term) and to the worst
+diagnostics over the campaign, and trace keeps the sup column. rate fits
 log median J against the deviation scale n**(-k/4) * log(n)**1.5 over the
-rungs past the scale's peak n = e**(6/k), where it falls; with fewer than two
-such rungs the fit is NaN. Exceedance thresholds use alpha times that scale,
-with alpha either supplied or calibrated so the smallest scale sits at 0.5
-exceedance. The trace harness reuses the same replication driver and keeps
-only each sup. Replications draw from streams derived as
-(master_seed, role, n, rep), so results do not depend on worker count or
-scheduling. The goodness-of-fit checks import scipy.special inside
-themselves, so a rate or trace campaign never loads scipy.
+rungs past the scale's peak n = e**(6/k), where it falls; with fewer than
+two such rungs the fit is NaN. Exceedance thresholds use alpha times that
+scale, with alpha either supplied or calibrated so the smallest scale sits
+at 0.5 exceedance. Replications draw from streams derived as (master_seed,
+role, n, rep), so results do not depend on worker count or scheduling. The
+goodness-of-fit checks import scipy.special inside themselves, so a rate or
+trace campaign never loads scipy.
 """
 
 from __future__ import annotations
@@ -35,12 +39,16 @@ def rate_scale(n: int, k: float) -> float:
     return float(n) ** (-float(k) / 4.0) * math.log(n) ** 1.5
 
 
-def _check_ladder(n_grid) -> tuple[int, ...]:
+def _check_ladder(law: JumpLaw, k: float, n_grid) -> tuple[int, ...]:
+    """The ladder as ints, once every rung's schedule is known to be valid,
+    so a bad scale fails before the first build."""
     grid = tuple(int(n) for n in n_grid)
     if not grid:
         raise InputError("n_grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InputError("n_grid must be strictly increasing")
+    for n in grid:
+        scaling_constants(law, k, n)
     return grid
 
 
@@ -65,34 +73,15 @@ class RateExperimentConfig:
     alpha: float | None = None
 
     def __post_init__(self):
-        grid = _check_ladder(self.n_grid)
+        grid = _check_ladder(self.law, self.k, self.n_grid)
         object.__setattr__(self, "n_grid", grid)
         if grid[0] < 2:
             raise InputError("n_grid entries must be at least 2")
-        # Every rung's schedule, so a bad scale fails before a pool starts.
-        for n in grid:
-            scaling_constants(self.law, self.k, n)
         if self.reps < 2:
             raise InputError("reps must be at least 2")
         if self.alpha is not None and not self.alpha > 0:
             raise InputError("alpha must be positive")
         object.__setattr__(self, "master_seed", _check_seed(self.master_seed))
-
-
-@dataclass(frozen=True)
-class RateSample:
-    """One grid-engine realization: sup distance, its split, diagnostics."""
-
-    n: int
-    rep: int
-    sup: float
-    j1: float
-    j2: float
-    j3: float
-    j4: float
-    bound_gap: float
-    skeleton_err: float
-    slope_err: float
 
 
 @dataclass(frozen=True)
@@ -165,38 +154,37 @@ def slope_error(real, max_segments: int = 32) -> float:
     return float(np.abs(fd / want - 1.0).max())
 
 
-def _replicate(args) -> RateSample:
+# One replication's record: _replicate returns these values in this order.
+RECORD = ("sup", "j1", "j2", "j3", "j4", "bound_gap", "skeleton_err", "slope_err")
+
+
+def _replicate(args) -> tuple[float, ...]:
     law, k, n, rep, master_seed, role = args
     rng = derived_rng(master_seed, role, n, rep)
     real = build_coupled_realization(law, scaling_constants(law, k, n), rng, engine="grid")
     dec = decompose_sup(real)
-    return RateSample(
-        n=n,
-        rep=rep,
-        sup=dec.sup,
-        j1=dec.j1,
-        j2=dec.j2,
-        j3=dec.j3,
-        j4=dec.j4,
-        bound_gap=dec.bound_gap,
-        skeleton_err=skeleton_identity_error(real),
-        slope_err=slope_error(real),
-    )
+    return (dec.sup, dec.j1, dec.j2, dec.j3, dec.j4, dec.bound_gap,
+            skeleton_identity_error(real), slope_error(real))
 
 
 def _ladder(law, k, n_grid, reps, master_seed, role, workers):
-    """Yield (n, samples in rep order) rung by rung; one pool serves the ladder."""
+    """Yield (n, columns) rung by rung, columns mapping each RECORD name to
+    its values in rep order as one contiguous array, so a column's mean is
+    numpy's pairwise sum at any worker count; one pool serves the ladder."""
 
     def jobs(n):
         return [(law, k, n, rep, master_seed, role) for rep in range(reps)]
 
+    def columns(records):
+        return {name: np.array(values) for name, values in zip(RECORD, zip(*records))}
+
     if workers <= 1:
         for n in n_grid:
-            yield n, [_replicate(a) for a in jobs(n)]
+            yield n, columns(map(_replicate, jobs(n)))
         return
     with Pool(workers) as pool:
         for n in n_grid:
-            yield n, list(pool.imap(_replicate, jobs(n), chunksize=1))
+            yield n, columns(pool.imap(_replicate, jobs(n), chunksize=1))
 
 
 def run_rate_experiment(cfg: RateExperimentConfig, workers: int = 1) -> RateResult:
@@ -209,47 +197,35 @@ def run_rate_experiment(cfg: RateExperimentConfig, workers: int = 1) -> RateResu
     """
     if workers < 1:
         raise InputError("workers must be positive")
-    per_n: list[tuple[int, list[RateSample]]] = []
+    rungs: list[tuple[int, dict]] = []
     stop = None
-    rungs = _ladder(cfg.law, cfg.k, cfg.n_grid, cfg.reps, cfg.master_seed, ROLE_RATE, workers)
     try:
-        for rung in rungs:
-            per_n.append(rung)
+        for rung in _ladder(cfg.law, cfg.k, cfg.n_grid, cfg.reps, cfg.master_seed, ROLE_RATE, workers):
+            rungs.append(rung)
     except (BudgetError, MemoryError) as exc:
         stop = exc
-    if not per_n:
+    if not rungs:
         raise BudgetError(
             f"allocation budget or memory exhausted before the smallest scale finished: {stop}"
         ) from stop
-    complete = stop is None
 
-    first_n, first_samples = per_n[0]
+    first_n, first = rungs[0]
     if cfg.alpha is not None:
         alpha = float(cfg.alpha)
     else:
-        alpha = float(np.median([s.sup for s in first_samples])) / rate_scale(first_n, cfg.k)
-
+        alpha = float(np.median(first["sup"])) / rate_scale(first_n, cfg.k)
     rows = []
-    gaps, skel_errs, slope_errs = [], [], []
-    for n, samples in per_n:
-        sups = np.asarray([s.sup for s in samples])
-        thr = alpha * rate_scale(n, cfg.k)
-        rows.append(
-            RateRow(
-                n=n,
-                mean_j=float(sups.mean()),
-                median_j=float(np.median(sups)),
-                q90_j=float(np.quantile(sups, 0.9)),
-                exceedance=float(np.mean(sups > thr)),
-                mean_j1=float(np.mean([s.j1 for s in samples])),
-                mean_j2=float(np.mean([s.j2 for s in samples])),
-                mean_j3=float(np.mean([s.j3 for s in samples])),
-                mean_j4=float(np.mean([s.j4 for s in samples])),
-            )
-        )
-        gaps.append(max(s.bound_gap for s in samples))
-        skel_errs.append(max(s.skeleton_err for s in samples))
-        slope_errs.append(max(s.slope_err for s in samples))
+    for n, col in rungs:
+        sups = col["sup"]
+        rows.append(RateRow(
+            n,
+            float(sups.mean()),
+            float(np.median(sups)),
+            float(np.quantile(sups, 0.9)),
+            float(np.mean(sups > alpha * rate_scale(n, cfg.k))),
+            *(float(col[term].mean()) for term in ("j1", "j2", "j3", "j4")),
+        ))
+    worst = [max(float(col[name].max()) for _, col in rungs) for name in ("bound_gap", "skeleton_err", "slope_err")]
 
     past_peak = [row for row in rows if row.n > math.exp(6.0 / cfg.k)]
     if len(past_peak) >= 2:
@@ -258,18 +234,7 @@ def run_rate_experiment(cfg: RateExperimentConfig, workers: int = 1) -> RateResu
         )
     else:
         slope = intercept = r2 = float("nan")
-    return RateResult(
-        config=cfg,
-        rows=tuple(rows),
-        alpha=alpha,
-        slope=slope,
-        intercept=intercept,
-        r_squared=r2,
-        complete=complete,
-        max_bound_gap=max(gaps),
-        max_skeleton_err=max(skel_errs),
-        max_slope_err=max(slope_errs),
-    )
+    return RateResult(cfg, tuple(rows), alpha, slope, intercept, r2, stop is None, *worst)
 
 
 def fit_rate(points) -> tuple[float, float, float]:
@@ -311,40 +276,33 @@ class GofResult:
     target: str
 
 
-def _ks_distance(sorted_x: np.ndarray, cdf_values: np.ndarray) -> float:
-    n = len(sorted_x)
-    i = np.arange(1, n + 1)
-    d_plus = float((i / n - cdf_values).max())
-    d_minus = float((cdf_values - (i - 1) / n).max())
-    return max(d_plus, d_minus)
+def _ks_one_sample(samples, cdf, target: str) -> GofResult:
+    """One-sample KS of samples against the law whose CDF maps sorted values
+    to probabilities, with the asymptotic Kolmogorov p-value."""
+    from scipy import special
+
+    x = np.sort(np.asarray(samples, dtype=float))
+    if x.size < 50:
+        raise InputError("KS check needs at least 50 samples")
+    cdf_values = cdf(x)
+    i = np.arange(1, x.size + 1)
+    d = max(float((i / x.size - cdf_values).max()), float((cdf_values - (i - 1) / x.size).max()))
+    p = float(special.kolmogorov(math.sqrt(x.size) * d))
+    return GofResult(statistic=d, p_value=p, sample_size=int(x.size), target=target)
 
 
 def ks_normal(samples) -> GofResult:
     """One-sample KS against the standard normal, asymptotic p-value."""
     from scipy import special
 
-    x = np.sort(np.asarray(samples, dtype=float))
-    if x.size < 50:
-        raise InputError("KS check needs at least 50 samples")
-    d = _ks_distance(x, special.ndtr(x))
-    p = float(special.kolmogorov(math.sqrt(x.size) * d))
-    return GofResult(statistic=d, p_value=p, sample_size=int(x.size), target="standard normal")
+    return _ks_one_sample(samples, special.ndtr, "standard normal")
 
 
 def ks_uniform(samples, high: float) -> GofResult:
     """One-sample KS against the uniform law on (0, high)."""
-    from scipy import special
-
     if not high > 0:
         raise InputError("uniform KS needs a positive upper endpoint")
-    x = np.sort(np.asarray(samples, dtype=float))
-    if x.size < 50:
-        raise InputError("KS check needs at least 50 samples")
-    d = _ks_distance(x, np.clip(x / high, 0.0, 1.0))
-    p = float(special.kolmogorov(math.sqrt(x.size) * d))
-    return GofResult(
-        statistic=d, p_value=p, sample_size=int(x.size), target=f"uniform(0,{high!r})"
-    )
+    return _ks_one_sample(samples, lambda x: np.clip(x / high, 0.0, 1.0), f"uniform(0,{high!r})")
 
 
 def ks_two_sample(a, b) -> GofResult:
@@ -416,11 +374,11 @@ def as_trace(law: JumpLaw, k: float, n_grid, reps: int, master_seed: int) -> Tra
     single construction. Replications run serially through the rate
     campaign's driver, so the decomposition bound is checked here too.
     """
-    grid = _check_ladder(n_grid)
+    grid = _check_ladder(law, k, n_grid)
     if reps < 1:
         raise InputError("reps must be positive")
     rungs = _ladder(law, k, grid, reps, _check_seed(master_seed), ROLE_TRACE, 1)
-    j = np.array([[s.sup for s in samples] for _, samples in rungs]).T
+    j = np.array([col["sup"] for _, col in rungs]).T
     monotone = np.all(np.diff(j, axis=1) < 0.0, axis=1)
     return TraceResult(
         n_grid=grid,

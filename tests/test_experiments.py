@@ -7,7 +7,7 @@ import pytest
 
 import renewalbm.errors
 import renewalbm.experiments
-from renewalbm.coupling import build_coupled_realization, sup_distance
+from renewalbm.coupling import build_coupled_realization, decompose_sup, sup_distance
 from renewalbm.errors import BudgetError, InputError
 from renewalbm.experiments import (
     RateExperimentConfig,
@@ -19,9 +19,11 @@ from renewalbm.experiments import (
     ks_uniform,
     rate_scale,
     run_rate_experiment,
+    skeleton_identity_error,
+    slope_error,
 )
 from renewalbm.laws import uniform01
-from renewalbm.streams import ROLE_TRACE, derived_rng
+from renewalbm.streams import ROLE_RATE, ROLE_TRACE, derived_rng
 from renewalbm.transport import scaling_constants
 
 LAW = uniform01()
@@ -164,6 +166,43 @@ def test_rate_experiment_deterministic_across_workers():
     assert np.array_equal([a.slope, a.r_squared], [c.slope, c.r_squared], equal_nan=True)
 
 
+def test_rate_values_recomputed_from_their_realizations():
+    # Each reported value is rebuilt from its own realizations, so a value
+    # read from the wrong record column fails under its name.
+    cfg = _small_cfg(reps=5)
+    result = run_rate_experiment(cfg)
+    worst = {"max_bound_gap": [], "max_skeleton_err": [], "max_slope_err": []}
+    alpha = None
+    for row in result.rows:
+        sched = scaling_constants(LAW, cfg.k, row.n)
+        sups, terms = [], []
+        for rep in range(cfg.reps):
+            real = build_coupled_realization(
+                LAW, sched, derived_rng(cfg.master_seed, ROLE_RATE, row.n, rep), engine="grid"
+            )
+            dec = decompose_sup(real)
+            sups.append(dec.sup)
+            terms.append((dec.j1, dec.j2, dec.j3, dec.j4))
+            worst["max_bound_gap"].append(dec.bound_gap)
+            worst["max_skeleton_err"].append(skeleton_identity_error(real))
+            worst["max_slope_err"].append(slope_error(real))
+        sups = np.array(sups)
+        if alpha is None:
+            alpha = float(np.median(sups)) / rate_scale(row.n, cfg.k)
+        want = {
+            "mean_j": sups.mean(),
+            "median_j": np.median(sups),
+            "q90_j": np.quantile(sups, 0.9),
+            "exceedance": np.mean(sups > alpha * rate_scale(row.n, cfg.k)),
+            **{f"mean_j{i + 1}": np.mean([t[i] for t in terms]) for i in range(4)},
+        }
+        for name, value in want.items():
+            assert getattr(row, name) == value, f"{name} at n={row.n}"
+    assert result.alpha == alpha
+    for name, values in worst.items():
+        assert getattr(result, name) == max(values), name
+
+
 def test_rate_fit_uses_rungs_past_the_peak():
     # k = 2.5 puts the scale's peak at e**2.4 ~ 11.0, so only n = 12, 16 fit
     result = run_rate_experiment(_small_cfg(k=2.5, n_grid=(8, 12, 16), reps=3))
@@ -250,6 +289,30 @@ def test_trace_shapes_and_validation():
         as_trace(LAW, 2.0, [8, 4], 3, master_seed=1)
     with pytest.raises(InputError):
         as_trace(LAW, 2.0, [4, 8], 0, master_seed=1)
+
+
+def test_unusable_rung_fails_before_any_build(monkeypatch):
+    # n = 10**110 at k = 3 underflows mean_step; both harnesses reject the
+    # whole ladder before building its first rung.
+    builds = []
+    real_build = renewalbm.experiments.build_coupled_realization
+
+    def build(law, sched, rng, **kw):
+        builds.append(sched.n)
+        return real_build(law, sched, rng, **kw)
+
+    monkeypatch.setattr(renewalbm.experiments, "build_coupled_realization", build)
+    ladder = (2, 4, 10**110)
+    with pytest.raises(InputError, match="mean_step"):
+        as_trace(LAW, 3.0, ladder, 20, master_seed=1)
+    with pytest.raises(InputError, match="mean_step"):
+        RateExperimentConfig(law=LAW, k=3.0, n_grid=ladder, reps=20, master_seed=1)
+    with pytest.raises(InputError, match="positive integer"):
+        as_trace(LAW, 2.0, [0, 4], 2, master_seed=1)
+    assert builds == []
+    # trace still runs a ladder from n = 1, which rate rejects
+    assert as_trace(LAW, 2.0, [1, 2], 2, master_seed=1).j.shape == (2, 2)
+    assert builds == [1, 1, 2, 2]
 
 
 def test_negative_seed_fails_before_any_stream(monkeypatch):
