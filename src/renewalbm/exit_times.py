@@ -14,10 +14,11 @@ required. Two complementary alternating series cover the two regimes:
   with Q the standard normal upper tail. Computing F directly avoids the
   catastrophic cancellation of 1 - (spectral sum) when F is tiny.
 
-Each of the four series (distribution and density, both regimes) stops per
-element, after the first term below the tolerance at that element's own t:
-a value does not depend on the other values of its call, so a draw does not
-depend on its block.
+The four series (distribution and density, both regimes) are each a term
+function summed by one loop, _series, with one stopping rule: an element
+stops after its first term below the tolerance at its own t. So a value does
+not depend on the other values of its call, and a draw does not depend on
+its block. A new series of the same family is one more term function.
 
 Sampling inverts F to absolute tolerance PROB_TOL = 1e-10 in probability.
 A forward table of F and f gives each uniform its cell through a guide table
@@ -54,106 +55,70 @@ SERIES_TERM_TOL = 1e-12
 PROB_TOL = 1e-10
 _PI2_OVER_8 = math.pi * math.pi / 8.0
 _UPPER_BRACKET = 40.0  # survival(40) ~ 5e-22, below the resolution of float-uniform draws
-_SPECTRAL_TERMS = 400  # t = 0.05 needs 12
+_MAX_TERMS = 64  # the spectral series needs 12 at t = SERIES_SWITCH_T
+
+
+def _series(args, term, tol, what):
+    # sum_j term(j, *args) elementwise, j = 0, 1, ...: each element stops
+    # after its first term of magnitude below tol, at its own arguments, so
+    # its value does not depend on its neighbours.
+    total = np.zeros_like(args[0])
+    idx = np.arange(total.size)
+    for j in range(_MAX_TERMS):
+        term_j = term(j, *(a[idx] for a in args))
+        total[idx] += term_j
+        idx = idx[np.abs(term_j) >= tol]
+        if not idx.size:
+            return total
+    raise NumericError(f"{what} did not converge")
 
 
 def _cdf_small_t(t: np.ndarray) -> np.ndarray:
     # F(t) = 4 * sum_j [Q((4j+1)/sqrt(t)) - Q((4j+3)/sqrt(t))], terms positive
     # and strictly decreasing, so the alternating-series error bound applies
-    # to the paired form as well. An element stops once its own term is below
-    # the tolerance. Imported here, so a process without exact draws never
-    # loads scipy.
+    # to the paired form as well. Imported here, so a process without exact
+    # draws never loads scipy.
     from scipy.special import ndtr
 
-    root = 1.0 / np.sqrt(t)
-    total = np.zeros_like(t)
-    idx = np.arange(t.size)
-    for j in range(64):
-        r = root[idx]
-        term = ndtr(-(4 * j + 1) * r) - ndtr(-(4 * j + 3) * r)
-        total[idx] += term
-        idx = idx[term >= SERIES_TERM_TOL / 4.0]
-        if not idx.size:
-            return 4.0 * total
-    raise NumericError("image series for the exit distribution did not converge")
+    def term(j, root):
+        return ndtr(-(4 * j + 1) * root) - ndtr(-(4 * j + 3) * root)
 
-
-def _spectral_thresholds(weight) -> np.ndarray:
-    # Term j of a spectral series, weight(m) * exp(-m**2 * pi**2 * t / 8) with
-    # m = 2j + 1, falls below SERIES_TERM_TOL past t = log(weight(m) / tol) /
-    # (m**2 pi**2 / 8). Term j is summed up to the threshold of term j - 1,
-    # so the first term below the tolerance is the last one summed; term 0
-    # always is.
-    m = 2.0 * np.arange(_SPECTRAL_TERMS - 1) + 1.0
-    below = np.log(weight(m) / SERIES_TERM_TOL) / (m * m * _PI2_OVER_8)
-    needs = np.concatenate([[np.inf], below])
-    needs.flags.writeable = False
-    return needs
-
-
-def _spectral_sum(t: np.ndarray, weight, needs: np.ndarray) -> np.ndarray:
-    # sum_j (-1)**j weight(m) exp(-m**2 * pi**2 * t / 8), m = 2j + 1. Terms
-    # decrease in j, and each element stops after the first term below the
-    # tolerance at its own t, so its value does not depend on its neighbours.
-    # The leading terms that every element needs are summed over the whole
-    # array, the rest over the elements that still need them.
-    n_whole = int(np.count_nonzero(needs >= t.max(initial=np.inf)))
-    total = np.zeros_like(t)
-    idx = np.arange(t.size)
-    sign = 1.0
-    for j in range(_SPECTRAL_TERMS):
-        m = 2 * j + 1
-        if j < n_whole:
-            total += sign * weight(m) * np.exp(-(m * m) * _PI2_OVER_8 * t)
-        else:
-            idx = idx[t[idx] <= needs[j]]
-            if not idx.size:
-                return total
-            total[idx] += sign * weight(m) * np.exp(-(m * m) * _PI2_OVER_8 * t[idx])
-        sign = -sign
-    raise NumericError("spectral series for the exit law did not converge")
-
-
-def _survival_weight(m):
-    return (4.0 / math.pi) / m
-
-
-def _density_weight(m):
-    return (math.pi / 2.0) * m
-
-
-_SURVIVAL_NEEDS = _spectral_thresholds(_survival_weight)
-_DENSITY_NEEDS = _spectral_thresholds(_density_weight)
-
-
-def _cdf_large_t(t: np.ndarray) -> np.ndarray:
-    # P(tau > t) = sum_j (-1)**j (4/pi) / (2j+1) exp(-(2j+1)**2 * pi**2 * t / 8)
-    return np.clip(1.0 - _spectral_sum(t, _survival_weight, _SURVIVAL_NEEDS), 0.0, 1.0)
+    what = "image series for the exit distribution"
+    return 4.0 * _series((1.0 / np.sqrt(t),), term, SERIES_TERM_TOL / 4.0, what)
 
 
 def _density_small_t(t: np.ndarray) -> np.ndarray:
     # f(t) = 2 t**-1.5 * sum_j (-1)**j (2j+1) phi((2j+1)/sqrt(t)), the image
-    # series differentiated term by term; terms strictly decrease in j, and an
-    # element stops once its own term is below the tolerance.
-    log_scale = math.log(2.0 / math.sqrt(2.0 * math.pi)) - 1.5 * np.log(t)
-    half_inv = 0.5 / t
-    total = np.zeros_like(t)
-    idx = np.arange(t.size)
-    sign = 1.0
-    for j in range(64):
+    # series differentiated term by term; terms strictly decrease in j.
+    def term(j, log_scale, half_inv):
         m = 2 * j + 1
-        term = m * np.exp(log_scale[idx] - (m * m) * half_inv[idx])
-        total[idx] += sign * term
-        sign = -sign
-        idx = idx[term >= SERIES_TERM_TOL]
-        if not idx.size:
-            return total
-    raise NumericError("image series for the exit density did not converge")
+        return (-1.0) ** j * m * np.exp(log_scale - (m * m) * half_inv)
+
+    log_scale = math.log(2.0 / math.sqrt(2.0 * math.pi)) - 1.5 * np.log(t)
+    return _series((log_scale, 0.5 / t), term, SERIES_TERM_TOL, "image series for the exit density")
+
+
+def _spectral_term(weight):
+    # Term j of sum_j (-1)**j weight(m) exp(-m**2 * pi**2 * t / 8), m = 2j + 1;
+    # terms decrease in j for t >= SERIES_SWITCH_T.
+    def term(j, t):
+        m = 2 * j + 1
+        return (-1.0) ** j * weight(m) * np.exp(-(m * m) * _PI2_OVER_8 * t)
+
+    return term
+
+
+def _cdf_large_t(t: np.ndarray) -> np.ndarray:
+    # P(tau > t) = sum_j (-1)**j (4/pi) / (2j+1) exp(-(2j+1)**2 * pi**2 * t / 8)
+    term = _spectral_term(lambda m: (4.0 / math.pi) / m)
+    survival = _series((t,), term, SERIES_TERM_TOL, "spectral series for the exit distribution")
+    return np.clip(1.0 - survival, 0.0, 1.0)
 
 
 def _density_large_t(t: np.ndarray) -> np.ndarray:
     # f(t) = (pi/2) * sum_j (-1)**j (2j+1) exp(-(2j+1)**2 * pi**2 * t / 8)
-    return _spectral_sum(t, _density_weight, _DENSITY_NEEDS)
+    term = _spectral_term(lambda m: (math.pi / 2.0) * m)
+    return _series((t,), term, SERIES_TERM_TOL, "spectral series for the exit density")
 
 
 def _by_regime(t, small_t, large_t):

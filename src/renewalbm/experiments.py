@@ -42,20 +42,21 @@ def rate_scale(n: int, k: float) -> float:
 def _check_ladder(law: JumpLaw, k: float, n_grid) -> tuple[int, ...]:
     """The ladder as ints, once every rung's schedule is known to be valid,
     so a bad scale fails before the first build."""
-    grid = tuple(int(n) for n in n_grid)
+    grid = tuple(scaling_constants(law, k, n).n for n in n_grid)
     if not grid:
         raise InputError("n_grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InputError("n_grid must be strictly increasing")
-    for n in grid:
-        scaling_constants(law, k, n)
     return grid
 
 
-def _check_seed(seed) -> int:
-    if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InputError(f"master_seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
+def _check_int(value, name: str, least: int) -> int:
+    """value as an int, once it is known to be an integer (numpy's too, not a
+    bool) no smaller than least."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) or value < least:
+        rule = {0: "non-negative", 1: "positive"}.get(least, f"at least {least}")
+        raise InputError(f"{name} must be {rule} and an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -77,11 +78,10 @@ class RateExperimentConfig:
         object.__setattr__(self, "n_grid", grid)
         if grid[0] < 2:
             raise InputError("n_grid entries must be at least 2")
-        if self.reps < 2:
-            raise InputError("reps must be at least 2")
+        object.__setattr__(self, "reps", _check_int(self.reps, "reps", 2))
         if self.alpha is not None and not self.alpha > 0:
             raise InputError("alpha must be positive")
-        object.__setattr__(self, "master_seed", _check_seed(self.master_seed))
+        object.__setattr__(self, "master_seed", _check_int(self.master_seed, "master_seed", 0))
 
 
 @dataclass(frozen=True)
@@ -195,8 +195,7 @@ def run_rate_experiment(cfg: RateExperimentConfig, workers: int = 1) -> RateResu
     rep), and the reduction preserves replication order, so equal configs give
     identical results at any worker count.
     """
-    if workers < 1:
-        raise InputError("workers must be positive")
+    workers = _check_int(workers, "workers", 1)
     rungs: list[tuple[int, dict]] = []
     stop = None
     try:
@@ -375,9 +374,8 @@ def as_trace(law: JumpLaw, k: float, n_grid, reps: int, master_seed: int) -> Tra
     campaign's driver, so the decomposition bound is checked here too.
     """
     grid = _check_ladder(law, k, n_grid)
-    if reps < 1:
-        raise InputError("reps must be positive")
-    rungs = _ladder(law, k, grid, reps, _check_seed(master_seed), ROLE_TRACE, 1)
+    reps = _check_int(reps, "reps", 1)
+    rungs = _ladder(law, k, grid, reps, _check_int(master_seed, "master_seed", 0), ROLE_TRACE, 1)
     j = np.array([col["sup"] for _, col in rungs]).T
     monotone = np.all(np.diff(j, axis=1) < 0.0, axis=1)
     return TraceResult(

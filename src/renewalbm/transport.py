@@ -45,14 +45,14 @@ class ScalingSchedule:
 def scaling_constants(law: JumpLaw, k: float, n: int) -> ScalingSchedule:
     """Build the ScalingSchedule for (law, k, n).
 
-    Raises InputError unless k > 1, n is a positive integer, and mean_step
-    and normalizer are at least the smallest normal float, so 1 / mean_step
-    is finite. Both are finite, since the law's moments are: it was checked
-    when it was built.
+    Raises InputError unless k > 1, n is a positive integer (not a bool),
+    and mean_step and normalizer are at least the smallest normal float, so
+    1 / mean_step is finite. Both are finite, since the law's moments are: it
+    was checked when it was built.
     """
     if not k > 1.0:
         raise InputError("k must exceed 1")
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if isinstance(n, (bool, np.bool_)) or not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InputError(f"n must be a positive integer, got {n!r}")
     m1, m2, _ = moments(law)
     time_scale = float(n) ** (-float(k))

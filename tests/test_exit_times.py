@@ -90,6 +90,63 @@ def test_series_values_do_not_depend_on_their_neighbours():
         assert series(t).tobytes() == alone.tobytes()
 
 
+def _reference_series(terms, tol):
+    # terms[j] holds term j at every t; each element sums, in plain Python and
+    # in j order, every term through its first one below the tolerance
+    out = []
+    for i in range(terms.shape[1]):
+        total = 0.0
+        for term in terms[:, i]:
+            total += term
+            if abs(term) < tol:
+                break
+        else:
+            raise AssertionError(f"64 terms do not reach the tolerance at element {i}")
+        out.append(total)
+    return np.array(out)
+
+
+def test_series_match_a_per_element_reference():
+    # term arrays over the whole t array, so exp and ndtr run as on the
+    # library's subsets; the stopping rule is pinned bit for bit
+    rng = np.random.default_rng(18)
+    switch = [np.nextafter(SERIES_SWITCH_T, 0.0), SERIES_SWITCH_T]
+    t = np.concatenate([np.geomspace(5e-3, _UPPER_BRACKET, 4095), rng.uniform(1e-3, 2.0, 400), switch])
+    small, large = t[t < SERIES_SWITCH_T], t[t >= SERIES_SWITCH_T]
+    tol = renewalbm.exit_times.SERIES_TERM_TOL
+    root = 1.0 / np.sqrt(small)
+    log_scale = math.log(2.0 / math.sqrt(2.0 * math.pi)) - 1.5 * np.log(small)
+    image_cdf, image_density, survival, density = [], [], [], []
+    for j in range(64):
+        m, sign = 2 * j + 1, (-1.0) ** j
+        image_cdf.append(special.ndtr(-(4 * j + 1) * root) - special.ndtr(-(4 * j + 3) * root))
+        image_density.append(sign * m * np.exp(log_scale - (m * m) * (0.5 / small)))
+        spectral = np.exp(-(m * m) * (math.pi * math.pi / 8.0) * large)
+        survival.append(sign * ((4.0 / math.pi) / m) * spectral)
+        density.append(sign * ((math.pi / 2.0) * m) * spectral)
+    cases = (
+        (_cdf_small_t, small, 4.0 * _reference_series(np.array(image_cdf), tol / 4.0)),
+        (_density_small_t, small, _reference_series(np.array(image_density), tol)),
+        (_cdf_large_t, large, np.clip(1.0 - _reference_series(np.array(survival), tol), 0.0, 1.0)),
+        (_density_large_t, large, _reference_series(np.array(density), tol)),
+    )
+    for series, at, want in cases:
+        assert series(at).tobytes() == want.tobytes(), series.__name__
+
+
+@pytest.mark.parametrize("series, t, name", [
+    (_cdf_small_t, 0.04, "image series for the exit distribution"),
+    (_density_small_t, 0.04, "image series for the exit density"),
+    (_cdf_large_t, 0.5, "spectral series for the exit distribution"),
+    (_density_large_t, 0.5, "spectral series for the exit density"),
+])
+def test_series_that_do_not_converge_raise(monkeypatch, series, t, name):
+    # each t needs a second term; one allowed term leaves it unconverged
+    monkeypatch.setattr(renewalbm.exit_times, "_MAX_TERMS", 1)
+    with pytest.raises(NumericError, match=name):
+        series(np.array([t]))
+
+
 def test_moments_by_quadrature():
     # E tau_1 = integral of the survival function = 1
     mean, err = integrate.quad(lambda t: 1.0 - unit_exit_cdf(t), 0.0, 40.0, limit=200)

@@ -291,9 +291,7 @@ def test_trace_shapes_and_validation():
         as_trace(LAW, 2.0, [4, 8], 0, master_seed=1)
 
 
-def test_unusable_rung_fails_before_any_build(monkeypatch):
-    # n = 10**110 at k = 3 underflows mean_step; both harnesses reject the
-    # whole ladder before building its first rung.
+def _counted_builds(monkeypatch) -> list:
     builds = []
     real_build = renewalbm.experiments.build_coupled_realization
 
@@ -302,6 +300,13 @@ def test_unusable_rung_fails_before_any_build(monkeypatch):
         return real_build(law, sched, rng, **kw)
 
     monkeypatch.setattr(renewalbm.experiments, "build_coupled_realization", build)
+    return builds
+
+
+def test_unusable_rung_fails_before_any_build(monkeypatch):
+    # n = 10**110 at k = 3 underflows mean_step; both harnesses reject the
+    # whole ladder before building its first rung.
+    builds = _counted_builds(monkeypatch)
     ladder = (2, 4, 10**110)
     with pytest.raises(InputError, match="mean_step"):
         as_trace(LAW, 3.0, ladder, 20, master_seed=1)
@@ -313,6 +318,40 @@ def test_unusable_rung_fails_before_any_build(monkeypatch):
     # trace still runs a ladder from n = 1, which rate rejects
     assert as_trace(LAW, 2.0, [1, 2], 2, master_seed=1).j.shape == (2, 2)
     assert builds == [1, 1, 2, 2]
+
+
+def test_non_integer_rung_fails_before_any_build(monkeypatch):
+    # a rung reaches scaling_constants as passed, not truncated to n = 4
+    builds = _counted_builds(monkeypatch)
+    with pytest.raises(InputError, match="positive integer"):
+        RateExperimentConfig(law=LAW, k=2.0, n_grid=(4.7, 8), reps=2, master_seed=1)
+    with pytest.raises(InputError, match="positive integer"):
+        as_trace(LAW, 2.0, [4.7], 2, master_seed=1)
+    with pytest.raises(InputError, match="positive integer"):
+        as_trace(LAW, 2.0, [True, 2], 2, master_seed=1)
+    assert builds == []
+    cfg = RateExperimentConfig(law=LAW, k=2.0, n_grid=(np.int64(4), 8), reps=2, master_seed=1)
+    assert cfg.n_grid == (4, 8) and type(cfg.n_grid[0]) is int
+
+
+def test_non_integer_reps_and_workers_fail_before_any_build(monkeypatch):
+    builds = _counted_builds(monkeypatch)
+    for reps in (2.5, True, "3"):
+        with pytest.raises(InputError, match="reps"):
+            RateExperimentConfig(law=LAW, k=2.0, n_grid=(4, 8), reps=reps, master_seed=1)
+        with pytest.raises(InputError, match="reps"):
+            as_trace(LAW, 2.0, [4, 8], reps, master_seed=1)
+    cfg = RateExperimentConfig(law=LAW, k=2.0, n_grid=(4, 8), reps=2, master_seed=1)
+    for workers in (1.5, True, 0):
+        with pytest.raises(InputError, match="workers"):
+            run_rate_experiment(cfg, workers=workers)
+    assert builds == []
+    # numpy integers still pass, and become ints
+    cfg = RateExperimentConfig(law=LAW, k=2.0, n_grid=(4, 8), reps=np.int64(2), master_seed=1)
+    assert type(cfg.reps) is int
+    assert run_rate_experiment(cfg, workers=np.int64(1)).rows[0].n == 4
+    assert as_trace(LAW, 2.0, [np.int64(4)], np.int64(2), master_seed=1).j.shape == (2, 1)
+    assert builds == [4, 4, 8, 8, 4, 4]
 
 
 def test_negative_seed_fails_before_any_stream(monkeypatch):
