@@ -197,11 +197,9 @@ def _print_line(command: str, items: dict) -> None:
     print(command + " " + " ".join(f"{key}={_fmt(value)}" for key, value in items.items()))
 
 
-def _law_items(law, args) -> dict:
-    items = {"law": law_label(law), "k": args.k, "seed": args.seed}
-    if has_zero_atom(law):
-        items["exploratory"] = "zero-atom-law"
-    return items
+def _flag_zero_atom(law, items: dict) -> dict:
+    """items, then exploratory=zero-atom-law when law has an atom at zero."""
+    return {**items, "exploratory": "zero-atom-law"} if has_zero_atom(law) else items
 
 
 def _cmd_simulate_path(args, law) -> dict:
@@ -262,7 +260,7 @@ def _cmd_rate(args, law) -> dict:
     out = Path(args.out) / "rate.csv"
     csvio.write_rate_csv(out, result)
     n_grid = csvio.n_grid_label(cfg.n_grid)
-    summary = {
+    summary = _flag_zero_atom(law, {
         "tool_version": __version__,
         "law": law_label(law),
         "k": args.k,
@@ -270,17 +268,8 @@ def _cmd_rate(args, law) -> dict:
         "reps": cfg.reps,
         "grid_step_divisor": GRID_STEP_DIVISOR,
         "seed": cfg.master_seed,
-        "alpha": result.alpha,
-        "slope": result.slope,
-        "intercept": result.intercept,
-        "r_squared": result.r_squared,
-        "complete": result.complete,
-        "max_bound_gap": result.max_bound_gap,
-        "max_skeleton_err": result.max_skeleton_err,
-        "max_slope_err": result.max_slope_err,
-    }
-    if has_zero_atom(law):
-        summary["exploratory"] = "zero-atom-law"
+        **csvio.scalar_items(result),
+    })
     for row in result.rows:
         summary[f"median_J_n{row.n}"] = row.median_j
         summary[f"exceedance_n{row.n}"] = row.exceedance
@@ -309,7 +298,7 @@ def _cmd_gof(args, law) -> dict:
     )
     ks = ks_normal(samples)
     variance = float(np.var(samples, ddof=1))
-    summary = {
+    summary = _flag_zero_atom(law, {
         "tool_version": __version__,
         "law": law_label(law),
         "k": args.k,
@@ -324,9 +313,7 @@ def _cmd_gof(args, law) -> dict:
         "cov_estimate": cov.statistic,
         "cov_expected": min(args.s, args.t),
         "cov_p_value": cov.p_value,
-    }
-    if has_zero_atom(law):
-        summary["exploratory"] = "zero-atom-law"
+    })
     out = Path(args.out) / "gof_summary.txt"
     csvio.write_summary(out, summary)
     return {
@@ -347,8 +334,7 @@ def _cmd_trace(args, law) -> dict:
     return {
         "n_grid": csvio.n_grid_label(trace.n_grid),
         "reps": args.reps,
-        "frac_monotone": trace.frac_monotone,
-        "frac_final_below_first": trace.frac_final_below_first,
+        **csvio.scalar_items(trace),
         "out": str(out),
     }
 
@@ -366,7 +352,7 @@ def main(argv=None) -> int:
     try:
         args = parse_config(argv)
         law = parse_law(args.law)
-        items = _law_items(law, args)
+        items = _flag_zero_atom(law, {"law": law_label(law), "k": args.k, "seed": args.seed})
         items.update(_COMMANDS[args.command](args, law))
         _print_line(args.command, items)
         return EXIT_OK

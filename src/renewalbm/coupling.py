@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -213,8 +213,9 @@ def build_coupled_realization(
     the levels from the same one, so both engines share their levels.
     engine="exact" concatenates the blocks of exact_blocks, which invert the
     unit exit distribution per step and realize no Brownian values between
-    skeleton points; the running step count is checked against
-    errors.ALLOC_BUDGET_BYTES before the blocks are concatenated. engine="grid"
+    skeleton points; the expected step count is checked against
+    errors.ALLOC_BUDGET_BYTES before the first draw, and the running count
+    before each block is kept. engine="grid"
     advances one shared N(0, h) walk (h defaults to mean_step/1000) and detects
     each exit as the first grid point past xi - BGK_SHIFT * sqrt(h); the walk
     is kept up to every time the diagnostics read. Every walk array is
@@ -225,6 +226,9 @@ def build_coupled_realization(
     if engine == "exact":
         if grid_step is not None:
             raise InputError("grid_step only applies to the grid engine")
+        # M >= target: the arrays are checked at target + 1 before the first
+        # draw, and at their running length as each block arrives.
+        check_budget(_target_steps(schedule) + 1, "exact realization array")
         blocks = []
         for block in exact_blocks(law, schedule, rng):
             check_budget(block.start + block.n_steps + 1, "exact realization array")
@@ -265,9 +269,12 @@ def exact_blocks(law, schedule, rng):
     rng; each block inverts the unit exit distribution for its exit times
     and carries the clocks and the skeleton over from the block before. The
     stream ends with the block where the stop rule's M falls, cut at M.
-    Blocks hold target + 4 sqrt(target) + 16 steps (target =
-    floor(1 / mean_step) + 2), at most EXACT_BLOCK; no bit depends on
-    either, so the steps do not depend on how a consumer holds them.
+    Blocks hold at most EXACT_BLOCK steps: up to target + 4 sqrt(target) +
+    16 steps in all (target = floor(1 / mean_step) + 2), where M falls in
+    nearly every realization, then 4 sqrt(target) + 16 at a time, so a
+    realization draws at most that many steps past M. No bit depends on
+    the block sizes, so the steps do not depend on how a consumer holds
+    them.
 
     The expected step count, target, is checked against errors.STEP_BUDGET
     when this is called, before any draw or file: BudgetError past it.
@@ -285,11 +292,13 @@ def _exact_stream(law, schedule, streams):
     count = 0
     carry = None
     while True:
-        steps = _exact_steps(law, schedule, streams, min(EXACT_BLOCK, stop.block))
-        block = _step_block(schedule, count, *steps, carry)
+        # Up to stop.block steps in all, then stop.block - target at a time.
+        size = min(EXACT_BLOCK, max(stop.block - count, stop.block - stop.target))
+        block = _step_block(schedule, count, *_exact_steps(law, schedule, streams, size), carry)
         keep = stop.cut(block)
         if keep is not None:
-            yield _step_block(schedule, count, *(x[:keep] for x in steps), carry)
+            # A prefix of a running sum has its bits.
+            yield StepBlock(count, *(getattr(block, f.name)[:keep] for f in fields(StepBlock)[1:]))
             return
         count += block.n_steps
         carry = (block.path_times[-1], block.bm_times[-1], block.skeleton[-1])

@@ -23,7 +23,7 @@ format_value instead.
 
 from __future__ import annotations
 
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -280,6 +280,12 @@ def n_grid_label(n_grid) -> str:
     return ",".join(str(n) for n in n_grid)
 
 
+def scalar_items(record) -> dict:
+    """The float and bool fields of a result record by name, in field order:
+    what the summaries and footers that take a whole record report."""
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.type in ("float", "bool")}
+
+
 def _stamp(**config) -> list[str]:
     """The tool version line and the config line that open every table."""
     return [f"renewalbm {__version__}", "config " + _kv(config)]
@@ -375,7 +381,7 @@ def write_trace_csv(file, trace, law, k, seed) -> None:
     reps = trace.j.shape[0]
     stamp = _stamp(law=law_label(law), k=k, n_grid=n_grid_label(trace.n_grid), reps=reps, seed=seed)
     header = ["rep", *(f"J_n{n}" for n in trace.n_grid)]
-    footer = [_kv({"frac_monotone": trace.frac_monotone, "frac_final_below_first": trace.frac_final_below_first})]
+    footer = [_kv(scalar_items(trace))]
     _write_table(file, stamp, header, [(np.arange(reps), *trace.j.T)], footer)
 
 

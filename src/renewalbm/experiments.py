@@ -133,19 +133,24 @@ def skeleton_identity_error(real) -> float:
     return float((np.abs(vals - real.skeleton) / denom).max())
 
 
-def slope_error(real, max_segments: int = 32) -> float:
+# Most segments slope_error probes per realization, evenly spaced.
+SLOPE_SEGMENTS = 32
+
+
+def slope_error(real) -> float:
     """Worst relative error of finite-difference slopes against +/-1/normalizer.
 
-    Only segments at least one mean step wide are probed: on narrower ones
-    the finite difference loses more precision than the slope contract
-    allows, without saying anything new about the path.
+    Only segments at least one mean step wide are probed (at most
+    SLOPE_SEGMENTS of them): on narrower ones the finite difference loses
+    more precision than the slope contract allows, without saying anything
+    new about the path.
     """
     d = real.durations
     wide = np.flatnonzero(d >= real.schedule.mean_step)
     if wide.size == 0:
         wide = np.asarray([int(np.argmax(d))])
-    if wide.size > max_segments:
-        wide = wide[np.linspace(0, wide.size - 1, max_segments).astype(int)]
+    if wide.size > SLOPE_SEGMENTS:
+        wide = wide[np.linspace(0, wide.size - 1, SLOPE_SEGMENTS).astype(int)]
     t0 = real.path_times[wide]
     lo = t0 + 0.25 * d[wide]
     hi = t0 + 0.75 * d[wide]

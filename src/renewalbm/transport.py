@@ -14,7 +14,7 @@ from there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,10 +88,6 @@ class RenewalPath:
     flips: np.ndarray
     horizon: float
     schedule: ScalingSchedule
-    _flip_prefix: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._flip_prefix = np.cumsum(self.flips, dtype=np.int64)
 
     def renewal_count(self, t: float) -> int:
         """Number of arrivals in [0, t]."""
@@ -100,9 +96,8 @@ class RenewalPath:
 
     def reward_at(self, t: float) -> int:
         """initial_reward plus the number of flipped arrivals in [0, t]."""
-        idx = self.renewal_count(t)
-        extra = int(self._flip_prefix[idx - 1]) if idx else 0
-        return self.initial_reward + extra
+        flipped = self.flips[: self.renewal_count(t)]
+        return self.initial_reward + int(flipped.sum(dtype=np.int64))
 
     def _check_domain(self, t: float) -> None:
         if not 0.0 <= t <= self.horizon:
@@ -219,14 +214,12 @@ def terminal_samples(
     schedule: ScalingSchedule,
     reps: int,
     rng: np.random.Generator,
-    *,
-    horizon: float = 1.0,
 ) -> np.ndarray:
-    """reps independent draws of the transport path value at the horizon."""
+    """reps independent draws of the transport path value at t = 1."""
     if reps < 1:
         raise InputError(f"reps must be at least 1, got {reps}")
     out = np.empty(reps)
     for i in range(reps):
-        path = sample_renewal_path(law, schedule, horizon, rng)
-        out[i] = build_transport_path(path).value_at(horizon)
+        path = sample_renewal_path(law, schedule, 1.0, rng)
+        out[i] = build_transport_path(path).value_at(1.0)
     return out

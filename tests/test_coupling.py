@@ -29,7 +29,7 @@ from renewalbm.coupling import (
 from renewalbm.errors import BudgetError, InputError
 from renewalbm.experiments import ks_uniform, skeleton_identity_error
 from renewalbm.laws import deterministic, two_point, uniform01
-from renewalbm.streams import ROLE_RATE, derived_rng
+from renewalbm.streams import ROLE_COUPLE, ROLE_RATE, derived_rng
 from renewalbm.transport import scaling_constants
 
 LAW = uniform01()
@@ -511,11 +511,45 @@ def test_exact_blocks_carry_the_clocks_bit_for_bit(monkeypatch, law):
     assert real.skeleton[1:].tobytes() == np.cumsum(real.signs * real.levels).tobytes()
 
 
+def _counted_exact_steps(monkeypatch):
+    """The sizes of the exact engine's draws, recorded as they are made."""
+    sizes = []
+    real_steps = renewalbm.coupling._exact_steps
+
+    def counting(law, schedule, streams, size):
+        sizes.append(size)
+        return real_steps(law, schedule, streams, size)
+
+    monkeypatch.setattr(renewalbm.coupling, "_exact_steps", counting)
+    return sizes
+
+
 def test_exact_build_is_checked_against_the_byte_budget(monkeypatch):
     sched = scaling_constants(LAW, 2.0, 64)  # about 8200 steps
+    sizes = _counted_exact_steps(monkeypatch)
     monkeypatch.setattr(renewalbm.errors, "ALLOC_BUDGET_BYTES", 8 * 1000)
     with pytest.raises(BudgetError, match="exact realization array"):
         build_coupled_realization(LAW, sched, np.random.default_rng(1), engine="exact")
+    # refused before the first draw
+    assert sizes == []
+    # past target, each block is checked as it arrives
+    target = int(1.0 / sched.mean_step) + 2
+    monkeypatch.setattr(renewalbm.errors, "ALLOC_BUDGET_BYTES", 8 * (target + 1))
+    with pytest.raises(BudgetError, match="exact realization array"):
+        build_coupled_realization(LAW, sched, np.random.default_rng(1), engine="exact")
+    assert len(sizes) == 1
+
+
+def test_exact_stream_draws_few_steps_past_the_stop(monkeypatch):
+    # The last block holds what is left of target + 4 sqrt(target) + 16, or
+    # 4 sqrt(target) + 16 steps once that is passed, not a whole EXACT_BLOCK.
+    sched = scaling_constants(LAW, 2.0, 256)  # about 131,000 steps: two whole blocks and a few more
+    sizes = _counted_exact_steps(monkeypatch)
+    blocks = exact_blocks(LAW, sched, derived_rng(3, ROLE_COUPLE, 256, 0))
+    kept = sum(block.n_steps for block in blocks)
+    target = int(1.0 / sched.mean_step) + 2
+    assert kept >= target
+    assert sum(sizes) <= kept + 4.0 * math.sqrt(target) + 16
 
 
 @settings(max_examples=300, deadline=None)

@@ -205,6 +205,13 @@ _PINNED = [
         "trace.csv": ("91d3887132ac73fa5c32c730589a33aa40e4d4e8d5ab69c11599af3c1d5c52da", 374)}),
     (["gof", "--n", "8", "--reps", "200", "--seed", "16"], {
         "gof_summary.txt": ("a105e78a393a69f5e348a2e6d9461e945ecacf37ebb2beb543f757b623549541", 261)}),
+    # A law with an atom at zero (recorded by commit 81b1cc3): its summaries
+    # carry exploratory=zero-atom-law, in rate_summary.txt between
+    # max_slope_err and median_J_n4, in gof_summary.txt last.
+    (["rate", "--law", "two_point:0,1,0.5", "--n-grid", "4,8", "--reps", "4", "--seed", "3"], {
+        "rate_summary.txt": ("81dfef2d1e6214da834897617a11622df625930fce96e359573b216ff9ae13e0", 374)}),
+    (["gof", "--law", "two_point:0,1,0.5", "--n", "8", "--reps", "200", "--seed", "3"], {
+        "gof_summary.txt": ("fcacafa5b1e6f2253305efed30e994ded4b89dd6bfe56e28ef72cb0dbee0c3ca", 277)}),
 ]
 
 
