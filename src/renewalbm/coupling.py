@@ -111,6 +111,12 @@ class StepBlock:
         return len(self.levels)
 
 
+# StepBlock's step arrays, and the running sums among them, which a
+# CoupledRealization starts from a leading zero.
+_STEP_ARRAYS = tuple(f.name for f in fields(StepBlock)[1:])
+_SUMS = ("path_times", "bm_times", "skeleton")
+
+
 @dataclass(eq=False)
 class CoupledRealization:
     """A coupled pair of paths on [0, 1] plus a short tail for diagnostics.
@@ -151,8 +157,25 @@ class CoupledRealization:
             raise InputError(f"evaluation time outside [0, {last!r}]")
         seg = np.searchsorted(self.path_times, arr, side="right") - 1
         seg = np.minimum(seg, self.n_steps - 1)
-        val = self.skeleton[seg] + self.signs[seg] * (arr - self.path_times[seg]) / self.schedule.normalizer
+        knots = self.path_times[seg], self.signs[seg], self.skeleton[seg]
+        val = _transport(arr, *knots, self.schedule.normalizer)
         return float(val) if np.isscalar(t) or arr.ndim == 0 else val
+
+    def as_block(self) -> StepBlock:
+        """The realization's steps as one StepBlock: its step arrays, the
+        running sums without their leading zero."""
+        return StepBlock(0, **{name: getattr(self, name)[int(name in _SUMS) :] for name in _STEP_ARRAYS})
+
+
+def _transport(t, gamma, sign, skel, norm):
+    # The transport path at times t on the segments that start at (gamma,
+    # sign, skel): skel + sign * (t - gamma) / norm, in this order, the one
+    # expression value_at and sup_distance evaluate.
+    x = t - gamma
+    x *= sign
+    x /= norm
+    x += skel
+    return x
 
 
 def sample_exit_level(law: JumpLaw, schedule: ScalingSchedule, rng: np.random.Generator, size: int | None = None):
@@ -213,8 +236,9 @@ def build_coupled_realization(
     the levels from the same one, so both engines share their levels.
     engine="exact" concatenates the blocks of exact_blocks, which invert the
     unit exit distribution per step and realize no Brownian values between
-    skeleton points; the expected step count is checked against
-    errors.ALLOC_BUDGET_BYTES before the first draw, and the running count
+    skeleton points; two copies of every step array, which joining the
+    blocks holds, are checked against errors.ALLOC_BUDGET_BYTES at the
+    expected step count before the first draw, and at the running count
     before each block is kept. engine="grid"
     advances one shared N(0, h) walk (h defaults to mean_step/1000) and detects
     each exit as the first grid point past xi - BGK_SHIFT * sqrt(h); the walk
@@ -226,12 +250,15 @@ def build_coupled_realization(
     if engine == "exact":
         if grid_step is not None:
             raise InputError("grid_step only applies to the grid engine")
-        # M >= target: the arrays are checked at target + 1 before the first
-        # draw, and at their running length as each block arrives.
-        check_budget(_target_steps(schedule) + 1, "exact realization array")
+        # The join holds the blocks and the joined arrays at once: two copies
+        # of every step array. M >= target: they are checked at target + 1
+        # steps before the first draw, and at their running length as each
+        # block arrives.
+        held = 2 * len(_STEP_ARRAYS)
+        check_budget(held * (_target_steps(schedule) + 1), "exact realization arrays")
         blocks = []
         for block in exact_blocks(law, schedule, rng):
-            check_budget(block.start + block.n_steps + 1, "exact realization array")
+            check_budget(held * (block.start + block.n_steps + 1), "exact realization arrays")
             blocks.append(block)
         return _assemble(law, schedule, "exact", blocks, None, None)
     h = schedule.mean_step / GRID_STEP_DIVISOR if grid_step is None else float(grid_step)
@@ -298,7 +325,7 @@ def _exact_stream(law, schedule, streams):
         keep = stop.cut(block)
         if keep is not None:
             # A prefix of a running sum has its bits.
-            yield StepBlock(count, *(getattr(block, f.name)[:keep] for f in fields(StepBlock)[1:]))
+            yield StepBlock(count, *(getattr(block, name)[:keep] for name in _STEP_ARRAYS))
             return
         count += block.n_steps
         carry = (block.path_times[-1], block.bm_times[-1], block.skeleton[-1])
@@ -435,29 +462,18 @@ def _step_block(schedule, start, levels, signs, sigmas, carry):
 
 
 def _assemble(law, schedule, engine, blocks, grid, bm_index):
-    zero = np.zeros(1)
-
-    def joined(name, lead=()):
-        return np.concatenate([*lead, *(getattr(b, name) for b in blocks)])
-
-    path_times = joined("path_times", [zero])
+    # Every step array joined over the blocks, the running sums after their
+    # leading zero.
+    arrays = {}
+    for name in _STEP_ARRAYS:
+        lead = [np.zeros(1)] if name in _SUMS else []
+        arrays[name] = np.concatenate([*lead, *(getattr(b, name) for b in blocks)])
     # The builders leave two spare segments past coverage; every index below
     # refers to this array.
-    first_cover = int(np.searchsorted(path_times, 1.0, side="left"))
+    first_cover = int(np.searchsorted(arrays["path_times"], 1.0, side="left"))
     return CoupledRealization(
-        law=law,
-        schedule=schedule,
-        engine=engine,
-        levels=joined("levels"),
-        signs=joined("signs"),
-        exit_times=joined("exit_times"),
-        durations=joined("durations"),
-        path_times=path_times,
-        bm_times=joined("bm_times", [zero]),
-        skeleton=joined("skeleton", [zero]),
-        first_cover=first_cover,
-        grid=grid,
-        bm_index=bm_index,
+        law=law, schedule=schedule, engine=engine, **arrays,
+        first_cover=first_cover, grid=grid, bm_index=bm_index,
     )
 
 
@@ -468,22 +484,19 @@ def _require_grid(real: CoupledRealization) -> GridPath:
 
 
 def _grid_horizon_index(grid: GridPath) -> int:
-    # The largest i with i * h <= 1. int(1 / h) can fall one short of it:
-    # at h = 5e-6, 1 / h is 199999.99999999997 while 200000 * h == 1.
-    i = int(1.0 / grid.step) + 1
-    while i * grid.step > 1.0:
-        i -= 1
-    return min(i, len(grid.values) - 1)
+    # The largest i with i * h <= 1: one before the first grid time past 1,
+    # the first double past 1. int(1 / h) can fall one short of it: at
+    # h = 5e-6, 1 / h is 199999.99999999997 while 200000 * h == 1.
+    return int(_first_grid_index(np.nextafter(1.0, 2.0), grid.step, len(grid.values))) - 1
 
 
 def sup_distance(real: CoupledRealization, mode: str = "grid") -> float:
     """Largest |transport - Brownian| gap over [0, 1].
 
     mode="grid", the only mode, takes the gap at every grid time t_i = i * h
-    at or before 1 with the expression value_at uses,
-    skeleton + sign * (t - Gamma) / normalizer - w, so the sup equals
-    value_at's to the last bit. Segment m owns the grid times in
-    [Gamma_m, Gamma_{m+1}), the segment value_at picks, also for a knot on a
+    at or before 1 through value_at's own transport expression (_transport),
+    less w, so the sup equals value_at's to the last bit. Segment m owns the
+    grid times in [Gamma_m, Gamma_{m+1}), the segment value_at picks, also for a knot on a
     grid time and for a zero-length segment; its first grid index is found
     per interior knot, not per grid time.
 
@@ -512,31 +525,20 @@ def sup_distance(real: CoupledRealization, mode: str = "grid") -> float:
     norm = real.schedule.normalizer
     knots = real.path_times[seg], real.signs[seg], real.skeleton[seg]
 
-    best = float(np.abs(_transport_at(first, h, norm, *knots) - w[first]).max())
+    best = float(np.abs(_transport(first * h, *knots, norm) - w[first]).max())
     # Every operation of the expression rounds monotonically, so the computed
     # gaps of a segment already lie inside its computed bound; the margin
     # keeps a segment within rounding of best open all the same.
-    skel, end = knots[2], _transport_at(last, h, norm, *knots)
+    skel, end = knots[2], _transport(last * h, *knots, norm)
     w_hi, w_lo = np.maximum.reduceat(w, first), np.minimum.reduceat(w, first)
     bound = np.maximum(np.maximum(skel, end) - w_lo, w_hi - np.minimum(skel, end))
     open_ = np.flatnonzero(bound * (1.0 + SUP_MARGIN) >= best)
     # Every grid index of the open segments, each with its segment's knots.
     counts = last[open_] - first[open_] + 1
     i = np.arange(counts.sum()) + np.repeat(first[open_] - (np.cumsum(counts) - counts), counts)
-    gap = _transport_at(i, h, norm, *(np.repeat(x[open_], counts) for x in knots))
+    gap = _transport(i * h, *(np.repeat(x[open_], counts) for x in knots), norm)
     gap -= w[i]
     return float(np.abs(gap, out=gap).max(initial=best))
-
-
-def _transport_at(i, h, norm, gamma, sign, skel):
-    # value_at's expression at grid indices i, in value_at's order of
-    # operations: skel + sign * (i * h - gamma) / norm.
-    x = i * h
-    x -= gamma
-    x *= sign
-    x /= norm
-    x += skel
-    return x
 
 
 def _first_grid_index(x, h, size):

@@ -320,19 +320,15 @@ def write_path_csv(file, tp, law, schedule, seed) -> None:
     _write_table(file, [title, *stamp], ("t", "value"), [(t, value)])
 
 
-_SKELETON_HEADER = ("m", "Gamma", "Lambda", "skeleton_value")
-
-
 def write_realization_csv(file, real, seed) -> None:
     """Coupling skeleton as m,Gamma,Lambda,skeleton_value rows, m = 0..steps."""
-    stamp = _stamp(law=law_label(real.law), k=real.schedule.k, n=real.schedule.n, engine=real.engine, seed=seed)
-    rows = (np.arange(real.n_steps + 1), real.path_times, real.bm_times, real.skeleton)
-    _write_table(file, stamp, _SKELETON_HEADER, [rows])
+    write_realization_blocks(file, real.law, real.schedule, real.engine, seed, [real.as_block()])
 
 
 def write_realization_blocks(file, law, schedule, engine, seed, blocks) -> None:
-    """Skeleton rows from a stream of coupling.StepBlock, one block held at a
-    time: the m = 0 row of zeros, then each block's steps in turn."""
+    """Skeleton rows as m,Gamma,Lambda,skeleton_value from a stream of
+    coupling.StepBlock, one block held at a time: the m = 0 row of zeros,
+    then each block's steps in turn."""
 
     def rows():
         yield [0], [0.0], [0.0], [0.0]
@@ -341,7 +337,7 @@ def write_realization_blocks(file, law, schedule, engine, seed, blocks) -> None:
             del b  # not held while the next block is drawn
 
     stamp = _stamp(law=law_label(law), k=schedule.k, n=schedule.n, engine=engine, seed=seed)
-    _write_table(file, stamp, _SKELETON_HEADER, rows())
+    _write_table(file, stamp, ("m", "Gamma", "Lambda", "skeleton_value"), rows())
 
 
 def write_grid_csv(file, real, seed) -> None:

@@ -8,9 +8,10 @@ schedule in scaling_constants, so code downstream does not check them again.
 """
 
 # Largest array of float64 values the simulators may create, in bytes. Grid
-# walks, exact realization arrays and renewal event arrays are checked
-# against it before they are allocated, so a too-large request fails fast
-# with BudgetError instead of exhausting memory.
+# walks and renewal event arrays are checked against it before they are
+# allocated, and an exact realization built in memory as a whole: the two
+# copies of its step arrays that joining its blocks holds. A too-large
+# request fails fast with BudgetError instead of exhausting memory.
 ALLOC_BUDGET_BYTES = 1 << 30
 
 # Largest expected step count, floor(1 / mean_step) + 2, of one exact

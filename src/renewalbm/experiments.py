@@ -79,8 +79,8 @@ class RateExperimentConfig:
         if grid[0] < 2:
             raise InputError("n_grid entries must be at least 2")
         object.__setattr__(self, "reps", _check_int(self.reps, "reps", 2))
-        if self.alpha is not None and not self.alpha > 0:
-            raise InputError("alpha must be positive")
+        if self.alpha is not None and not 0 < self.alpha < math.inf:
+            raise InputError(f"alpha must be positive and finite, got {self.alpha!r}")
         object.__setattr__(self, "master_seed", _check_int(self.master_seed, "master_seed", 0))
 
 

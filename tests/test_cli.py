@@ -300,6 +300,18 @@ def test_exact_budget_refuses_the_build_but_not_the_stream(tmp_path, capsys, mon
     assert int(_printed(capsys.readouterr().out)["steps"]) > 1000
 
 
+def test_non_finite_alpha_exits_2_and_writes_no_file(tmp_path, capsys):
+    argv = ["rate", "--n-grid", "4,8", "--reps", "3"]
+    assert main([*argv, "--alpha", "inf", "--out", str(tmp_path)]) == 2
+    assert "alpha must be positive and finite, got inf" in capsys.readouterr().err
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("alpha = inf\n", encoding="utf-8")
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "alpha must be positive and finite, got inf" in capsys.readouterr().err
+    assert not (tmp_path / "rate.csv").exists()
+    assert not (tmp_path / "rate_summary.txt").exists()
+
+
 def test_config_file_merge_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 6\nseed = 3  # inline comment\n\n", encoding="utf-8")

@@ -1,6 +1,7 @@
 """Skorokhod-embedding coupling: levels, clocks, skeleton, and the sup bound."""
 
 import math
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from renewalbm.coupling import (
     SUP_BLOCK,
     CoupledRealization,
     GridPath,
+    StepBlock,
     build_coupled_realization,
     decompose_sup,
     embedding_diagnostics,
@@ -524,6 +526,11 @@ def _counted_exact_steps(monkeypatch):
     return sizes
 
 
+# Arrays an in-memory exact build holds at its peak: the blocks' step arrays
+# and their join.
+_HELD = 2 * len(fields(StepBlock)[1:])
+
+
 def test_exact_build_is_checked_against_the_byte_budget(monkeypatch):
     sched = scaling_constants(LAW, 2.0, 64)  # about 8200 steps
     sizes = _counted_exact_steps(monkeypatch)
@@ -532,12 +539,25 @@ def test_exact_build_is_checked_against_the_byte_budget(monkeypatch):
         build_coupled_realization(LAW, sched, np.random.default_rng(1), engine="exact")
     # refused before the first draw
     assert sizes == []
-    # past target, each block is checked as it arrives
+    # past target, each block is checked as it arrives, at the realization's
+    # footprint: two copies of every step array
     target = int(1.0 / sched.mean_step) + 2
-    monkeypatch.setattr(renewalbm.errors, "ALLOC_BUDGET_BYTES", 8 * (target + 1))
+    monkeypatch.setattr(renewalbm.errors, "ALLOC_BUDGET_BYTES", 8 * _HELD * (target + 1))
     with pytest.raises(BudgetError, match="exact realization array"):
         build_coupled_realization(LAW, sched, np.random.default_rng(1), engine="exact")
     assert len(sizes) == 1
+
+
+def test_exact_build_budget_counts_every_array_it_holds(monkeypatch):
+    # Room for two arrays of target + 1 points, not for the fourteen the join
+    # holds: refused before the first draw.
+    sched = scaling_constants(LAW, 2.0, 64)
+    sizes = _counted_exact_steps(monkeypatch)
+    target = int(1.0 / sched.mean_step) + 2
+    monkeypatch.setattr(renewalbm.errors, "ALLOC_BUDGET_BYTES", 2 * 8 * (target + 1))
+    with pytest.raises(BudgetError, match="exact realization array"):
+        build_coupled_realization(LAW, sched, np.random.default_rng(1), engine="exact")
+    assert sizes == []
 
 
 def test_exact_stream_draws_few_steps_past_the_stop(monkeypatch):

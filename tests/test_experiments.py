@@ -60,6 +60,12 @@ def test_config_validation():
     assert RateExperimentConfig(**{**ok, "master_seed": np.int64(7)}).master_seed == 7
 
 
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_alpha_must_be_positive_and_finite(alpha):
+    with pytest.raises(InputError, match=f"alpha must be positive and finite, got {alpha!r}"):
+        RateExperimentConfig(law=LAW, k=2.0, n_grid=(4, 8), reps=5, master_seed=1, alpha=alpha)
+
+
 def test_rate_experiment_needs_a_worker():
     cfg = RateExperimentConfig(law=LAW, k=2.0, n_grid=(4, 8), reps=5, master_seed=1)
     with pytest.raises(InputError, match="workers"):
