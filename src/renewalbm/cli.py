@@ -28,6 +28,7 @@ from .coupling import (
     embedding_diagnostics,
     exact_blocks,
     sup_distance,
+    transport_paths,
 )
 from .errors import BudgetError, InputError
 from .experiments import (
@@ -36,6 +37,7 @@ from .experiments import (
     covariance_check,
     ks_normal,
     run_rate_experiment,
+    terminal_samples,
 )
 from .laws import has_zero_atom, law_label, parse_law
 from .streams import (
@@ -45,12 +47,7 @@ from .streams import (
     ROLE_PATH,
     derived_rng,
 )
-from .transport import (
-    build_transport_path,
-    sample_renewal_path,
-    scaling_constants,
-    terminal_samples,
-)
+from .transport import scaling_constants
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -204,16 +201,15 @@ def _flag_zero_atom(law, items: dict) -> dict:
 
 def _cmd_simulate_path(args, law) -> dict:
     sched = scaling_constants(law, args.k, args.n)
-    rng = derived_rng(args.seed, ROLE_PATH, args.n, 0)
-    path = sample_renewal_path(law, sched, 1.0, rng)
-    tp = build_transport_path(path)
+    tp = next(transport_paths(law, sched, 1.0, derived_rng(args.seed, ROLE_PATH, args.n, 0)))
     out = Path(args.out) / "transport_path.csv"
-    csvio.write_path_csv(out, tp, law, sched, args.seed)
+    csvio.write_path_csv(out, tp, args.seed)
     return {
         "n": args.n,
-        "events": len(path.times),
-        "breakpoints": len(tp.knot_times) - 1,
-        "terminal": tp.value_at(min(1.0, path.horizon)),
+        # The last step ends past the horizon.
+        "events": len(tp.signs) - 1,
+        "breakpoints": len(tp.knots()[0]) - 1,
+        "terminal": tp.value_at(1.0),
         "out": str(out),
     }
 

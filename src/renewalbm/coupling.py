@@ -18,6 +18,14 @@ M = max(target, first_cover + 2, first m with Gamma_m > 1,
 first m with Lambda_m >= 1), target = floor(1 / mean_step) + 2: both clocks
 have passed 1 and two spare segments follow coverage (_Stop).
 
+Transport side alone: transport_paths draws only the levels and the signs,
+through the rule the exact engine draws them by (_levels_and_signs), up to
+the first step whose transport clock passes a horizon. Its first path has
+the signs, transport clock and skeleton of the first steps of an exact
+realization from the same generator, bit for bit, and needs no exit times
+and so no scipy; the paths after it take the steps that follow in the
+streams.
+
 Exact engine: exact_blocks draws, inverts and reduces the steps in blocks of
 at most EXACT_BLOCK, carrying the clocks and the skeleton from block to
 block, and cuts the block where M falls. Its memory does not grow with n;
@@ -151,15 +159,7 @@ class CoupledRealization:
         Exact at clock times (zero-length linear correction) and of slope
         exactly +/- 1/normalizer inside segments.
         """
-        arr = np.asarray(t, dtype=float)
-        last = self.path_times[-1]
-        if arr.size and (arr.min() < 0.0 or arr.max() > last):
-            raise InputError(f"evaluation time outside [0, {last!r}]")
-        seg = np.searchsorted(self.path_times, arr, side="right") - 1
-        seg = np.minimum(seg, self.n_steps - 1)
-        knots = self.path_times[seg], self.signs[seg], self.skeleton[seg]
-        val = _transport(arr, *knots, self.schedule.normalizer)
-        return float(val) if np.isscalar(t) or arr.ndim == 0 else val
+        return _value_at(self, t, self.path_times[-1])
 
     def as_block(self) -> StepBlock:
         """The realization's steps as one StepBlock: its step arrays, the
@@ -176,6 +176,49 @@ def _transport(t, gamma, sign, skel, norm):
     x /= norm
     x += skel
     return x
+
+
+def _value_at(path, t, last):
+    # value_at of a CoupledRealization or a TransportPath: the path at t in
+    # [0, last] through _transport, on the segment searchsorted picks.
+    arr = np.asarray(t, dtype=float)
+    if arr.size and (arr.min() < 0.0 or arr.max() > last):
+        raise InputError(f"evaluation time outside [0, {last!r}]")
+    seg = np.searchsorted(path.path_times, arr, side="right") - 1
+    seg = np.minimum(seg, len(path.signs) - 1)
+    knots = path.path_times[seg], path.signs[seg], path.skeleton[seg]
+    val = _transport(arr, *knots, path.schedule.normalizer)
+    return float(val) if np.isscalar(t) or arr.ndim == 0 else val
+
+
+@dataclass(eq=False)
+class TransportPath:
+    """The transport side of a coupling on [0, horizon], and no Brownian side.
+
+    Step m = 1..M has sign signs[m-1]; path_times and skeleton are the
+    transport clock and the skeleton after each step, from a leading zero,
+    and M is the first step with path_times[M] > horizon. The path runs
+    from (path_times[m-1], skeleton[m-1]) with slope signs[m-1] / normalizer.
+    """
+
+    law: JumpLaw
+    schedule: ScalingSchedule
+    signs: np.ndarray
+    path_times: np.ndarray
+    skeleton: np.ndarray
+    horizon: float
+
+    def value_at(self, t):
+        """Path value at scalar or array t in [0, horizon], with the bits of
+        CoupledRealization.value_at."""
+        return _value_at(self, t, self.horizon)
+
+    def knots(self):
+        """Times and values at 0 and at each clock time in (0, horizon] where
+        the sign changes: the path is linear between them and after the last."""
+        at = np.flatnonzero(self.signs[1:] != self.signs[:-1]) + 1
+        at = np.concatenate([[0], at])
+        return self.path_times[at], self.skeleton[at]
 
 
 def sample_exit_level(law: JumpLaw, schedule: ScalingSchedule, rng: np.random.Generator, size: int | None = None):
@@ -267,12 +310,65 @@ def build_coupled_realization(
     return _build_grid(law, schedule, rng, h)
 
 
+def _levels_and_signs(law, schedule, streams, size):
+    # The next size levels and signs, from child streams 0 and 2: the one
+    # rule the exact engine and the transport-only draw follow.
+    return sample_exit_level(law, schedule, streams[0], size), streams[2].integers(0, 2, size) * 2 - 1
+
+
 def _exact_steps(law, schedule, streams, size):
     # The next size levels, signs and exit times, each from its own stream.
-    levels_rng, exits_rng, signs_rng, _ = streams
-    levels = sample_exit_level(law, schedule, levels_rng, size)
-    signs = signs_rng.integers(0, 2, size) * 2 - 1
-    return levels, signs, levels * levels * invert_unit_cdf(exits_rng.random(size))
+    levels, signs = _levels_and_signs(law, schedule, streams, size)
+    return levels, signs, levels * levels * invert_unit_cdf(streams[1].random(size))
+
+
+# A TransportPath holds three arrays, and joining its parts holds two copies.
+_PATH_HELD = 6
+
+
+def transport_paths(law, schedule, horizon, rng):
+    """Transport paths on [0, horizon], one after another, with no exit
+    times: so no scipy and no inversion tables.
+
+    Each path takes the steps that follow the last one's in the level and
+    sign streams of one set of child streams of rng, so the first path holds
+    the first steps of an exact realization from the same rng, with the
+    bits of its path_times, signs and skeleton. Steps are drawn
+    expected + 4 sqrt(expected) + 16 at a time (expected =
+    horizon / mean_step); steps drawn past a path's end start the next one,
+    so no bit depends on that size. The arrays a path would hold are
+    checked against errors.ALLOC_BUDGET_BYTES before each draw, the first
+    when this is called: BudgetError past it.
+    """
+    if not 0.0 <= horizon < math.inf:
+        raise InputError(f"horizon must be finite and nonnegative, got {horizon!r}")
+    expected = horizon / schedule.mean_step
+    size = expected + 4.0 * math.sqrt(expected) + 16
+    check_budget(_PATH_HELD * (size + 1), "transport path arrays")
+    return _paths(law, schedule, float(horizon), child_streams(rng), size)
+
+
+def _paths(law, schedule, horizon, streams, size):
+    levels = signs = np.empty(0)  # steps drawn and not yet used
+    while True:
+        parts, gamma, skel, steps = [], None, None, 0
+        while gamma is None or gamma <= horizon:
+            if not len(levels):
+                check_budget(_PATH_HELD * (steps + size + 1), "transport path arrays")
+                levels, signs = _levels_and_signs(law, schedule, streams, int(size))
+            # A prefix of a running sum has its bits, so each part is cut at
+            # the first clock time past the horizon.
+            clock = _running_sum(schedule.normalizer * levels, gamma)
+            keep = min(int(np.searchsorted(clock, horizon, side="right")) + 1, len(clock))
+            sums = _running_sum(signs[:keep] * levels[:keep], skel)
+            parts.append((signs[:keep], clock[:keep], sums))
+            gamma, skel, steps = clock[keep - 1], sums[-1], steps + keep
+            levels, signs = levels[keep:], signs[keep:]
+        signs_, clocks, skels = zip(*parts)
+        yield TransportPath(
+            law, schedule, np.concatenate(signs_),
+            np.concatenate([[0.0], *clocks]), np.concatenate([[0.0], *skels]), horizon,
+        )
 
 
 def sample_embedding_steps(law, schedule, steps, rng):

@@ -307,16 +307,17 @@ def _write_table(file, comments, header, blocks, footer=()) -> None:
         fh.write("".join(f"# {line}\n" for line in footer).encode("utf-8"))
 
 
-def write_path_csv(file, tp, law, schedule, seed) -> None:
-    """Transport path as t,value rows: every breakpoint, then the horizon
-    endpoint when the path runs past the last breakpoint, so the polyline
-    through the rows equals the path on [0, horizon]."""
-    t, value = tp.knot_times, tp.knot_values
+def write_path_csv(file, tp, seed) -> None:
+    """coupling.TransportPath as t,value rows: 0 and every clock time where
+    the slope changes, then the horizon when the path runs past the last of
+    them, so the polyline through the rows equals the path on [0, horizon]."""
+    t, value = tp.knots()
     if tp.horizon > t[-1]:
         t = np.append(t, tp.horizon)
         value = np.append(value, tp.value_at(tp.horizon))
-    title = "renewal-transport path " + _kv({"n": schedule.n, "k": schedule.k, "law": law_label(law), "seed": seed})
-    stamp = _stamp(horizon=tp.horizon, slope_mag=tp.slope_mag, initial_sign=tp.initial_sign)
+    sched = tp.schedule
+    title = "renewal-transport path " + _kv({"n": sched.n, "k": sched.k, "law": law_label(tp.law), "seed": seed})
+    stamp = _stamp(horizon=tp.horizon, slope_mag=1.0 / sched.normalizer, initial_sign=int(tp.signs[0]))
     _write_table(file, [title, *stamp], ("t", "value"), [(t, value)])
 
 

@@ -12,24 +12,29 @@ rungs past the scale's peak n = e**(6/k), where it falls; with fewer than
 two such rungs the fit is NaN. Exceedance thresholds use alpha times that
 scale, with alpha either supplied or calibrated so the smallest scale sits
 at 0.5 exceedance. Replications draw from streams derived as (master_seed,
-role, n, rep), so results do not depend on worker count or scheduling. The
-goodness-of-fit checks import scipy.special inside themselves, so a rate or
-trace campaign never loads scipy.
+role, n, rep), so results do not depend on worker count or scheduling.
+
+The goodness-of-fit checks test the transport path the coupling builds:
+terminal_samples and covariance_check evaluate transport paths drawn one
+after another from one set of child streams (coupling.transport_paths).
+They import scipy.special inside themselves, so a rate or trace campaign
+never loads scipy.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from multiprocessing import Pool
 
 import numpy as np
 
-from .coupling import build_coupled_realization, decompose_sup
+from .coupling import build_coupled_realization, decompose_sup, transport_paths
 from .errors import BudgetError, InputError
 from .laws import JumpLaw
 from .streams import ROLE_RATE, ROLE_TRACE, derived_rng
-from .transport import build_transport_path, sample_renewal_path, scaling_constants
+from .transport import ScalingSchedule, scaling_constants
 
 
 def rate_scale(n: int, k: float) -> float:
@@ -59,6 +64,14 @@ def _check_int(value, name: str, least: int) -> int:
     return int(value)
 
 
+def _check_real(value, name: str) -> float:
+    """value as a float, once it is known to be a finite positive real
+    (numpy's too, not a bool)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise InputError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class RateExperimentConfig:
     """Settings for one rate campaign.
@@ -79,8 +92,8 @@ class RateExperimentConfig:
         if grid[0] < 2:
             raise InputError("n_grid entries must be at least 2")
         object.__setattr__(self, "reps", _check_int(self.reps, "reps", 2))
-        if self.alpha is not None and not 0 < self.alpha < math.inf:
-            raise InputError(f"alpha must be positive and finite, got {self.alpha!r}")
+        if self.alpha is not None:
+            object.__setattr__(self, "alpha", _check_real(self.alpha, "alpha"))
         object.__setattr__(self, "master_seed", _check_int(self.master_seed, "master_seed", 0))
 
 
@@ -326,24 +339,32 @@ def ks_two_sample(a, b) -> GofResult:
     return GofResult(statistic=d, p_value=p, sample_size=int(xa.size + xb.size), target="two-sample")
 
 
+def _path_values(law, schedule, times, reps, rng) -> np.ndarray:
+    """Values at times of reps transport paths on [0, max(times)], drawn one
+    after another from one set of child streams of rng: one row per path."""
+    paths = transport_paths(law, schedule, max(times), rng)
+    return np.array([next(paths).value_at(times) for _ in range(reps)])
+
+
+def terminal_samples(law: JumpLaw, schedule: ScalingSchedule, reps: int, rng) -> np.ndarray:
+    """reps independent draws of the transport path value at t = 1."""
+    return _path_values(law, schedule, [1.0], _check_int(reps, "reps", 1), rng)[:, 0]
+
+
 def covariance_check(law: JumpLaw, k: float, n: int, s: float, t: float, reps: int, rng) -> GofResult:
-    """Empirical covariance of direct-path values at (s, t) against min(s, t).
+    """Empirical covariance of transport-path values at (s, t) against min(s, t).
 
     The estimator is the uncentered product moment (both coordinates are
-    symmetric around 0 by the fair initial sign); the p-value is a normal
+    symmetric around 0 by the fair first sign); the p-value is a normal
     approximation from the sample variance of the products.
     """
     from scipy import special
 
     if not 0.0 <= s <= t <= 1.0:
         raise InputError("need 0 <= s <= t <= 1")
-    if reps < 100:
-        raise InputError("covariance check needs reps >= 100")
-    sched = scaling_constants(law, k, n)
-    prods = np.empty(reps)
-    for i in range(reps):
-        tp = build_transport_path(sample_renewal_path(law, sched, 1.0, rng))
-        prods[i] = tp.value_at(s) * tp.value_at(t)
+    reps = _check_int(reps, "reps", 100)
+    values = _path_values(law, scaling_constants(law, k, n), [s, t], reps, rng)
+    prods = values[:, 0] * values[:, 1]
     estimate = float(prods.mean())
     spread = float(prods.std(ddof=1)) / math.sqrt(reps)
     if spread == 0.0:

@@ -1,14 +1,10 @@
-"""Renewal paths and the piecewise-linear transport processes built on them.
+"""Scaling constants of the transport process at scale n.
 
-A renewal path at scale n records arrival times time_scale * (U_1 + ... + U_m)
-on [0, horizon] together with a fair coin flip per arrival. The transport
-path integrates a +/-1 sign that toggles at the flipped arrivals and divides
-by the normalizing constant, giving a piecewise-linear path of slope
-magnitude 1/normalizer.
-
-scaling_constants is the one place a schedule is checked; a RenewalPath
-carries the schedule it was sampled under, and build_transport_path reads it
-from there.
+The transport path at scale n runs at slope +/-1/normalizer between the
+arrivals of a renewal process with interarrival times time_scale * J, J a
+jump law draw. coupling draws it from the levels and signs of a coupled
+realization (coupling.transport_paths); this module holds only the
+schedule, and scaling_constants is the one place a schedule is checked.
 """
 
 from __future__ import annotations
@@ -18,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, check_budget
-from .laws import JumpLaw, moments, sample_jumps
+from .errors import InputError
+from .laws import JumpLaw, moments
 
 
 @dataclass(frozen=True)
@@ -71,155 +67,3 @@ def scaling_constants(law: JumpLaw, k: float, n: int) -> ScalingSchedule:
         normalizer=normalizer,
         mean_step=mean_step,
     )
-
-
-@dataclass(eq=False)
-class RenewalPath:
-    """Arrivals of the scaled renewal process on [0, horizon].
-
-    initial_reward is the coin flip attached to time 0; times/flips hold one
-    entry per arrival at or before the horizon (an arrival exactly at t
-    counts at t). Arrival times are nondecreasing, and strictly increasing
-    when the jump law has no atoms.
-    """
-
-    initial_reward: int
-    times: np.ndarray
-    flips: np.ndarray
-    horizon: float
-    schedule: ScalingSchedule
-
-    def renewal_count(self, t: float) -> int:
-        """Number of arrivals in [0, t]."""
-        self._check_domain(t)
-        return int(np.searchsorted(self.times, t, side="right"))
-
-    def reward_at(self, t: float) -> int:
-        """initial_reward plus the number of flipped arrivals in [0, t]."""
-        flipped = self.flips[: self.renewal_count(t)]
-        return self.initial_reward + int(flipped.sum(dtype=np.int64))
-
-    def _check_domain(self, t: float) -> None:
-        if not 0.0 <= t <= self.horizon:
-            raise InputError(f"t={t!r} outside [0, {self.horizon!r}]")
-
-
-def sample_renewal_path(
-    law: JumpLaw,
-    schedule: ScalingSchedule,
-    horizon: float,
-    rng: np.random.Generator,
-) -> RenewalPath:
-    """Simulate one renewal path on [0, horizon].
-
-    Before each block of jumps is drawn, the event count it would bring the
-    path to is checked against errors.ALLOC_BUDGET_BYTES (BudgetError), so
-    nothing past it is allocated; the first block holds the expected count
-    horizon/mean_step plus six standard deviations. Draw order is fixed
-    (initial flip, jump blocks, arrival flips) so equal seeds give identical
-    paths.
-    """
-    if horizon < 0:
-        raise InputError(f"horizon must be nonnegative, got {horizon!r}")
-    expected = horizon / schedule.mean_step
-    initial = int(rng.integers(0, 2))
-    if horizon == 0:
-        times = np.empty(0)
-    else:
-        blocks: list[np.ndarray] = []
-        total = 0
-        running = 0.0
-        block = max(64, int(expected + 6.0 * math.sqrt(expected + 1.0) + 16))
-        while True:
-            check_budget(total + block, "renewal event array")
-            jumps = sample_jumps(law, rng, block)
-            partial = running + np.cumsum(jumps)
-            scaled = schedule.time_scale * partial
-            blocks.append(scaled)
-            total += block
-            running = float(partial[-1])
-            if scaled[-1] > horizon:
-                break
-            block = max(64, block // 4)
-        times = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
-        times = times[: np.searchsorted(times, horizon, side="right")]
-    flips = rng.integers(0, 2, size=times.size).astype(np.uint8)
-    return RenewalPath(
-        initial_reward=initial,
-        times=times,
-        flips=flips,
-        horizon=float(horizon),
-        schedule=schedule,
-    )
-
-
-@dataclass(eq=False)
-class TransportPath:
-    """Piecewise-linear transport path on [0, horizon].
-
-    knot_times[0] is 0 and the remaining knots are the sign-change times;
-    knot_values are the path values there (0 at 0). On segment i the slope is
-    initial_sign * (-1)**i / normalizer.
-    """
-
-    slope_mag: float
-    initial_sign: int
-    knot_times: np.ndarray
-    knot_values: np.ndarray
-    horizon: float
-
-    def value_at(self, t):
-        """Evaluate the path at scalar or array t in [0, horizon].
-
-        Exact at knots: the left-knot value is returned with a zero-length
-        linear correction, so no rounding enters.
-        """
-        arr = np.asarray(t, dtype=float)
-        if arr.size and (arr.min() < 0.0 or arr.max() > self.horizon):
-            raise InputError(f"evaluation time outside [0, {self.horizon!r}]")
-        seg = np.searchsorted(self.knot_times, arr, side="right") - 1
-        seg = np.minimum(seg, len(self.knot_times) - 1)
-        signs = np.where(seg % 2 == 0, self.initial_sign, -self.initial_sign)
-        val = self.knot_values[seg] + signs * (arr - self.knot_times[seg]) * self.slope_mag
-        return float(val) if np.isscalar(t) or arr.ndim == 0 else val
-
-
-def build_transport_path(path: RenewalPath) -> TransportPath:
-    """Turn a renewal path into its transport path, under the schedule it
-    was sampled with.
-
-    Only flipped arrivals change the sign; unflipped ones leave the slope
-    alone and produce no knot.
-    """
-    breakpoints = path.times[path.flips == 1]
-    knots = np.concatenate([[0.0], breakpoints])
-    initial_sign = 1 if path.initial_reward % 2 == 0 else -1
-    slope_mag = 1.0 / path.schedule.normalizer
-    if breakpoints.size:
-        seg_signs = np.where(np.arange(breakpoints.size) % 2 == 0, initial_sign, -initial_sign)
-        values = np.concatenate([[0.0], np.cumsum(seg_signs * np.diff(knots) * slope_mag)])
-    else:
-        values = np.zeros(1)
-    return TransportPath(
-        slope_mag=slope_mag,
-        initial_sign=initial_sign,
-        knot_times=knots,
-        knot_values=values,
-        horizon=path.horizon,
-    )
-
-
-def terminal_samples(
-    law: JumpLaw,
-    schedule: ScalingSchedule,
-    reps: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """reps independent draws of the transport path value at t = 1."""
-    if reps < 1:
-        raise InputError(f"reps must be at least 1, got {reps}")
-    out = np.empty(reps)
-    for i in range(reps):
-        path = sample_renewal_path(law, schedule, 1.0, rng)
-        out[i] = build_transport_path(path).value_at(1.0)
-    return out

@@ -21,7 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from renewalbm.coupling import build_coupled_realization, sample_embedding_steps
+from renewalbm.coupling import build_coupled_realization, sample_embedding_steps, transport_paths
 from renewalbm.csvio import write_rate_csv
 from renewalbm.exit_times import grid_exit, sample_first_exit
 from renewalbm.experiments import (
@@ -35,14 +35,10 @@ from renewalbm.experiments import (
     run_rate_experiment,
     skeleton_identity_error,
     slope_error,
-)
-from renewalbm.laws import uniform01
-from renewalbm.transport import (
-    build_transport_path,
-    sample_renewal_path,
-    scaling_constants,
     terminal_samples,
 )
+from renewalbm.laws import uniform01
+from renewalbm.transport import scaling_constants
 from renewalbm.streams import ROLE_GOF_COV, ROLE_GOF_TERMINAL, derived_rng
 
 MASTER_SEED = 20260815
@@ -83,28 +79,26 @@ def test_c1_scaling_constants(capsys):
 
 
 def _direct_sign_integral(path, schedule, t):
-    sign = 1 if path.initial_reward % 2 == 0 else -1
+    # the sign of each step integrated over its stretch of the clock, with
+    # no skeleton; the last step ends past the horizon, so past t
     val = 0.0
     prev = 0.0
-    for time, flip in zip(path.times, path.flips):
-        if time > t:
-            break
+    for time, sign in zip(path.path_times[1:], path.signs):
+        if time >= t:
+            return (val + sign * (t - prev)) / schedule.normalizer
         val += sign * (time - prev)
         prev = time
-        if flip:
-            sign = -sign
-    return (val + sign * (t - prev)) / schedule.normalizer
 
 
 def test_c2_path_evaluation_exactness(capsys):
     rng = np.random.default_rng(MASTER_SEED)
     sched = scaling_constants(LAW, 2.0, 10)
     worst = 0.0
+    paths = transport_paths(LAW, sched, 1.0, rng)
     for _ in range(1000):
-        path = sample_renewal_path(LAW, sched, 1.0, rng)
-        tp = build_transport_path(path)
+        path = next(paths)
         times = rng.random(10)
-        for t, got in zip(times, tp.value_at(times)):
+        for t, got in zip(times, path.value_at(times)):
             want = _direct_sign_integral(path, sched, t)
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     ok = worst <= 1e-12

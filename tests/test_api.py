@@ -13,8 +13,7 @@ DOCUMENTED = {
     "deterministic",
     "two_point",
     "scaling_constants",
-    "sample_renewal_path",
-    "build_transport_path",
+    "transport_paths",
     "build_coupled_realization",
     "sup_distance",
     "decompose_sup",

@@ -27,10 +27,11 @@ from renewalbm.coupling import (
     _grid_horizon_index,
     sample_exit_level,
     sup_distance,
+    transport_paths,
 )
 from renewalbm.errors import BudgetError, InputError
 from renewalbm.experiments import ks_uniform, skeleton_identity_error
-from renewalbm.laws import deterministic, two_point, uniform01
+from renewalbm.laws import deterministic, parse_law, two_point, uniform01
 from renewalbm.streams import ROLE_COUPLE, ROLE_RATE, derived_rng
 from renewalbm.transport import scaling_constants
 
@@ -482,6 +483,47 @@ def test_both_engines_draw_the_same_levels():
     assert levels.tobytes() == exact.levels[:100].tobytes()
     assert signs.tobytes() == exact.signs[:100].tobytes()
     assert exit_times.tobytes() == exact.exit_times[:100].tobytes()
+
+
+@pytest.mark.parametrize(
+    "law, n",
+    [("uniform01", 8), ("exponential:1", 8), ("two_point:1,2,0.5", 8), ("deterministic:1", 8), ("uniform01", 512)],
+)
+def test_transport_path_is_the_prefix_of_an_exact_build(law, n):
+    # the first path takes an exact build's levels and signs, and its clock
+    # and skeleton have their bits; n = 512 spans several EXACT_BLOCKs
+    law = parse_law(law)
+    sched = scaling_constants(law, 2.0, n)
+    path = next(transport_paths(law, sched, 1.0, np.random.default_rng(n)))
+    real = build_coupled_realization(law, sched, np.random.default_rng(n), engine="exact")
+    m = len(path.signs)
+    assert path.path_times[m - 1] <= 1.0 < path.path_times[m]
+    assert m <= real.n_steps and (n < 512 or real.n_steps > 4 * renewalbm.coupling.EXACT_BLOCK)
+    assert path.signs.tobytes() == real.signs[:m].tobytes()
+    assert path.path_times.tobytes() == real.path_times[: m + 1].tobytes()
+    assert path.skeleton.tobytes() == real.skeleton[: m + 1].tobytes()
+    t = np.linspace(0.0, 1.0, 101)
+    assert path.value_at(t).tobytes() == real.value_at(t).tobytes()
+
+
+@pytest.mark.parametrize("law", [uniform01(), two_point(0.0, 1.0, 0.5)], ids=["uniform01", "two_point"])
+def test_transport_paths_follow_one_another_in_the_streams(law):
+    # each path takes the steps after the last one's, across the draws
+    # that fill it, and starts its clock and skeleton from zero
+    sched = scaling_constants(law, 2.0, 8)
+    levels, signs, _, durations = sample_embedding_steps(law, sched, 8000, np.random.default_rng(4))
+    paths = transport_paths(law, sched, 0.5, np.random.default_rng(4))
+    start = 0
+    for _ in range(50):
+        path = next(paths)
+        m = len(path.signs)
+        steps = slice(start, start + m)
+        assert path.path_times[m - 1] <= 0.5 < path.path_times[m]
+        assert path.signs.tobytes() == signs[steps].tobytes()
+        assert path.path_times[1:].tobytes() == np.cumsum(durations[steps]).tobytes()
+        assert path.skeleton[1:].tobytes() == np.cumsum(signs[steps] * levels[steps]).tobytes()
+        start += m
+    assert start > 2000
 
 
 def test_exact_step_budget_refuses_before_the_first_draw(monkeypatch):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import renewalbm.csvio
 from renewalbm.cli import main
-from renewalbm.coupling import build_coupled_realization
+from renewalbm.coupling import build_coupled_realization, transport_paths
 from renewalbm.csvio import (
     _shortest,
     _write_columns,
@@ -28,7 +28,7 @@ from renewalbm.csvio import (
 )
 from renewalbm.experiments import RateExperimentConfig, RateResult, RateRow, TraceResult
 from renewalbm.laws import parse_law
-from renewalbm.transport import build_transport_path, sample_renewal_path, scaling_constants
+from renewalbm.transport import scaling_constants
 
 LAW = parse_law("uniform01")
 
@@ -78,10 +78,11 @@ def test_grid_rows(tmp_path, row_block):
 
 def test_path_rows(tmp_path, row_block):
     sched = scaling_constants(LAW, 2.0, 6)
-    tp = build_transport_path(sample_renewal_path(LAW, sched, 1.0, np.random.default_rng(5)))
-    assert tp.horizon > tp.knot_times[-1]  # the horizon row is exercised
-    write_path_csv(tmp_path / "p.csv", tp, LAW, sched, 5)
-    rows = list(zip(tp.knot_times, tp.knot_values))
+    tp = next(transport_paths(LAW, sched, 1.0, np.random.default_rng(5)))
+    times, values = tp.knots()
+    assert tp.horizon > times[-1]  # the horizon row is exercised
+    write_path_csv(tmp_path / "p.csv", tp, 5)
+    rows = list(zip(times, values))
     rows.append((tp.horizon, tp.value_at(tp.horizon)))
     assert _table_lines(tmp_path / "p.csv") == _rows_formula(rows)
 
@@ -184,12 +185,12 @@ def test_dense_floats_render_as_repr():
 
 
 # sha256 and size of files written by commit 34dc84f, the last commit that
-# rendered each cell with repr (gof_summary.txt: by commit 1b82eca, before
-# the table layout moved into one writer); any change to these bytes is a
-# change of draws or of format. The coupled outputs (both couples, rate and
-# trace) are re-recorded since a coupled realization draws each quantity
-# from its own child stream and both engines stop at one rule; the
-# simulate-path and gof files draw nothing coupled and keep their bytes.
+# rendered each cell with repr; any change to these bytes is a change of
+# draws or of format. The coupled outputs (both couples, rate and trace)
+# are re-recorded since a coupled realization draws each quantity from its
+# own child stream and both engines stop at one rule. The simulate-path
+# and gof files are re-recorded since they draw the transport side of a
+# coupling from its level and sign streams (coupling.transport_paths).
 _PINNED = [
     (["couple", "--engine", "exact", "--n", "64", "--seed", "11"], {
         "realization.csv": ("db35fcc5c8d8c65b016fb21d1132f1a055f2e438224565acf583411e9739a0bd", 521536)}),
@@ -197,21 +198,22 @@ _PINNED = [
         "realization.csv": ("57e1a3ef9d626e1f56b5457a5ab78a416d5f9f1ff6da8a81dbed0b87f220cd6a", 8604),
         "grid_path.csv": ("6632ed5812d15542ca3ff717934f00195439ef75c6ac412d2db45fd073fb3edb", 4312129)}),
     (["simulate-path", "--n", "20", "--seed", "13"], {
-        "transport_path.csv": ("6a03365c2048fba6df784b81093edca19f264e360bc7a0e674691eddee6c51e3", 14509)}),
+        "transport_path.csv": ("161c60916645e3e169b9cdbb5c0891533de1bcc9dd0c8c886138018f95a83efe", 16402)}),
     (["rate", "--n-grid", "4,8", "--reps", "6", "--seed", "14"], {
         "rate.csv": ("99bd6441997e0a175b7fdd879c62897c247fb63ef7cb6e9b111e7c92ab654e99", 536),
         "rate_summary.txt": ("429f99064e18d920803fefe57bf4ed8e5f63059ed85b13e531acb87b8051ed99", 389)}),
     (["trace", "--n-grid", "4,8", "--reps", "6", "--seed", "15"], {
         "trace.csv": ("91d3887132ac73fa5c32c730589a33aa40e4d4e8d5ab69c11599af3c1d5c52da", 374)}),
     (["gof", "--n", "8", "--reps", "200", "--seed", "16"], {
-        "gof_summary.txt": ("a105e78a393a69f5e348a2e6d9461e945ecacf37ebb2beb543f757b623549541", 261)}),
-    # A law with an atom at zero (recorded by commit 81b1cc3): its summaries
-    # carry exploratory=zero-atom-law, in rate_summary.txt between
-    # max_slope_err and median_J_n4, in gof_summary.txt last.
+        "gof_summary.txt": ("92fc723382c06242fbe5c612aec456a345f8aff3492beb43aaf3f9abc6e1733f", 260)}),
+    # A law with an atom at zero (rate_summary.txt recorded by commit
+    # 81b1cc3): its summaries carry exploratory=zero-atom-law, in
+    # rate_summary.txt between max_slope_err and median_J_n4, in
+    # gof_summary.txt last.
     (["rate", "--law", "two_point:0,1,0.5", "--n-grid", "4,8", "--reps", "4", "--seed", "3"], {
         "rate_summary.txt": ("81dfef2d1e6214da834897617a11622df625930fce96e359573b216ff9ae13e0", 374)}),
     (["gof", "--law", "two_point:0,1,0.5", "--n", "8", "--reps", "200", "--seed", "3"], {
-        "gof_summary.txt": ("fcacafa5b1e6f2253305efed30e994ded4b89dd6bfe56e28ef72cb0dbee0c3ca", 277)}),
+        "gof_summary.txt": ("f525d53d849c4b1a68ae48f921952541c561298a236c83319587cd1c63bbd50c", 288)}),
 ]
 
 

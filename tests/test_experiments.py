@@ -1,6 +1,7 @@
 """Rate campaign plumbing, log-log fits, and goodness-of-fit helpers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,11 +59,14 @@ def test_config_validation():
         with pytest.raises(InputError, match="master_seed"):
             RateExperimentConfig(**{**ok, "master_seed": seed})
     assert RateExperimentConfig(**{**ok, "master_seed": np.int64(7)}).master_seed == 7
+    alpha = RateExperimentConfig(**{**ok, "alpha": np.float64(0.5)}).alpha
+    assert type(alpha) is float and alpha == 0.5
 
 
-@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan, 0.0, -1.0, "0.5", [1], True, np.bool_(True)])
 def test_alpha_must_be_positive_and_finite(alpha):
-    with pytest.raises(InputError, match=f"alpha must be positive and finite, got {alpha!r}"):
+    # a bool or a non-number is refused like a bad value
+    with pytest.raises(InputError, match=re.escape(f"alpha must be positive and finite, got {alpha!r}")):
         RateExperimentConfig(law=LAW, k=2.0, n_grid=(4, 8), reps=5, master_seed=1, alpha=alpha)
 
 
