@@ -64,7 +64,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConsistencyError, InputError, check_budget, check_steps
+from .errors import ConsistencyError, InputError, check_budget, check_int, check_steps
 from .exit_times import _tables, first_crossing, invert_unit_cdf
 from .laws import JumpLaw, sample_jumps
 from .streams import child_streams
@@ -180,10 +180,11 @@ def _transport(t, gamma, sign, skel, norm):
 
 def _value_at(path, t, last):
     # value_at of a CoupledRealization or a TransportPath: the path at t in
-    # [0, last] through _transport, on the segment searchsorted picks.
+    # [0, last] through _transport, on the segment searchsorted picks. min
+    # and max carry a NaN, which fails both tests.
     arr = np.asarray(t, dtype=float)
-    if arr.size and (arr.min() < 0.0 or arr.max() > last):
-        raise InputError(f"evaluation time outside [0, {last!r}]")
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= last):
+        raise InputError(f"evaluation time t outside [0, {last!r}]")
     seg = np.searchsorted(path.path_times, arr, side="right") - 1
     seg = np.minimum(seg, len(path.signs) - 1)
     knots = path.path_times[seg], path.signs[seg], path.skeleton[seg]
@@ -221,8 +222,8 @@ class TransportPath:
         return self.path_times[at], self.skeleton[at]
 
 
-def sample_exit_level(law: JumpLaw, schedule: ScalingSchedule, rng: np.random.Generator, size: int | None = None):
-    """Draw embedding levels: (time_scale / normalizer) times a jump draw."""
+def sample_exit_level(law: JumpLaw, schedule: ScalingSchedule, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw size embedding levels: (time_scale / normalizer) times a jump draw."""
     return schedule.time_scale / schedule.normalizer * sample_jumps(law, rng, size)
 
 
@@ -379,9 +380,8 @@ def sample_embedding_steps(law, schedule, steps, rng):
     streams; meant for marginal checks that want many more steps than one
     covering realization holds.
     """
-    if steps < 1:
-        raise InputError("steps must be positive")
-    levels, signs, exit_times = _exact_steps(law, schedule, child_streams(rng), int(steps))
+    steps = check_int(steps, "steps", 1)
+    levels, signs, exit_times = _exact_steps(law, schedule, child_streams(rng), steps)
     return levels, signs, exit_times, schedule.normalizer * levels
 
 

@@ -4,8 +4,15 @@ One class per outcome: InputError for input that fails its preconditions
 (command-line exit 2), BudgetError for a request past the allocation budget
 or past the step budget (exit 3), NumericError and ConsistencyError for failures on valid input
 (exit 1). Inputs are checked where they enter: a JumpLaw when it is built, a
-schedule in scaling_constants, so code downstream does not check them again.
+schedule in scaling_constants, a count or scale at each public entry through
+check_int and check_positive, the one integer rule and the one positive-real
+rule of the package, so code downstream does not check them again.
 """
+
+import math
+import numbers
+
+import numpy as np
 
 # Largest array of float64 values the simulators may create, in bytes. Grid
 # walks and renewal event arrays are checked against it before they are
@@ -56,3 +63,20 @@ def check_steps(steps, what: str) -> None:
         raise BudgetError(
             f"{what} of about {steps:.3g} steps is past the step budget of {STEP_BUDGET:,} steps"
         )
+
+
+def check_int(value, name: str, least: int) -> int:
+    """value as an int, once it is known to be an integer (numpy's too, not a
+    bool) no smaller than least; InputError naming it otherwise."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) or value < least:
+        rule = {0: "non-negative", 1: "positive"}.get(least, f"at least {least}")
+        raise InputError(f"{name} must be {rule} and an integer, got {value!r}")
+    return int(value)
+
+
+def check_positive(value, name: str) -> float:
+    """value as a float, once it is known to be a finite positive real
+    (numpy's too, not a bool); InputError naming it otherwise."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise InputError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)

@@ -2,7 +2,10 @@
 
 Exit from [-a, a] started at 0 scales as a**2 times the exit from [-1, 1],
 so the unit-interval distribution function is the only numerical object
-required. Two complementary alternating series cover the two regimes:
+required. An exact exit from [-a, a] is a**2 * invert_unit_cdf(u) on an
+independent fair side (the interval is symmetric); the coupling's exact
+engine draws it so, and this module holds no sampler of its own. Two
+complementary alternating series cover the two regimes:
 
 * t >= 0.05: spectral series for the survival probability,
       P(tau > t) = sum_j (-1)**j * (4/pi) / (2j+1) * exp(-(2j+1)**2 * pi**2 * t / 8).
@@ -46,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, NumericError, check_budget
+from .errors import InputError, NumericError, check_budget, check_positive
 
 SERIES_SWITCH_T = 0.05
 SERIES_TERM_TOL = 1e-12
@@ -294,22 +297,6 @@ def _invert_block(u: np.ndarray, tables: _Tables) -> np.ndarray:
     raise NumericError("exit-time inversion did not reach the probability tolerance")
 
 
-def sample_first_exit(a: float, rng: np.random.Generator, size: int | None = None):
-    """Exact draws (tau, sign) of the first exit of BM from [-a, a].
-
-    tau = a**2 * tau_1 by Brownian scaling; the exit side is an independent
-    fair sign because the interval is symmetric.
-    """
-    if not a > 0:
-        raise InputError(f"interval half-width must be positive, got {a!r}")
-    m = 1 if size is None else int(size)
-    tau = (a * a) * invert_unit_cdf(rng.random(m))
-    sign = rng.integers(0, 2, m) * 2 - 1
-    if size is None:
-        return float(tau[0]), int(sign[0])
-    return tau, sign
-
-
 def grid_exit(a: float, h: float, rng: np.random.Generator) -> tuple[float, int]:
     """Walk N(0, h) increments until |walk| >= a; return (exit_time, sign).
 
@@ -317,8 +304,7 @@ def grid_exit(a: float, h: float, rng: np.random.Generator) -> tuple[float, int]
     drawn in blocks and only its last value is kept; BudgetError if a block
     would exceed errors.ALLOC_BUDGET_BYTES.
     """
-    if not a > 0:
-        raise InputError(f"interval half-width must be positive, got {a!r}")
+    a = check_positive(a, "a")
     if not 0 < h <= a * a / 100.0:
         raise InputError(f"grid step h={h!r} must lie in (0, a^2/100]")
     sqrt_h = math.sqrt(h)

@@ -24,14 +24,13 @@ never loads scipy.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from multiprocessing import Pool
 
 import numpy as np
 
 from .coupling import build_coupled_realization, decompose_sup, transport_paths
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, check_int, check_positive
 from .laws import JumpLaw
 from .streams import ROLE_RATE, ROLE_TRACE, derived_rng
 from .transport import ScalingSchedule, scaling_constants
@@ -55,23 +54,6 @@ def _check_ladder(law: JumpLaw, k: float, n_grid) -> tuple[int, ...]:
     return grid
 
 
-def _check_int(value, name: str, least: int) -> int:
-    """value as an int, once it is known to be an integer (numpy's too, not a
-    bool) no smaller than least."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) or value < least:
-        rule = {0: "non-negative", 1: "positive"}.get(least, f"at least {least}")
-        raise InputError(f"{name} must be {rule} and an integer, got {value!r}")
-    return int(value)
-
-
-def _check_real(value, name: str) -> float:
-    """value as a float, once it is known to be a finite positive real
-    (numpy's too, not a bool)."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
-        raise InputError(f"{name} must be positive and finite, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class RateExperimentConfig:
     """Settings for one rate campaign.
@@ -91,10 +73,10 @@ class RateExperimentConfig:
         object.__setattr__(self, "n_grid", grid)
         if grid[0] < 2:
             raise InputError("n_grid entries must be at least 2")
-        object.__setattr__(self, "reps", _check_int(self.reps, "reps", 2))
+        object.__setattr__(self, "reps", check_int(self.reps, "reps", 2))
         if self.alpha is not None:
-            object.__setattr__(self, "alpha", _check_real(self.alpha, "alpha"))
-        object.__setattr__(self, "master_seed", _check_int(self.master_seed, "master_seed", 0))
+            object.__setattr__(self, "alpha", check_positive(self.alpha, "alpha"))
+        object.__setattr__(self, "master_seed", check_int(self.master_seed, "master_seed", 0))
 
 
 @dataclass(frozen=True)
@@ -213,7 +195,7 @@ def run_rate_experiment(cfg: RateExperimentConfig, workers: int = 1) -> RateResu
     rep), and the reduction preserves replication order, so equal configs give
     identical results at any worker count.
     """
-    workers = _check_int(workers, "workers", 1)
+    workers = check_int(workers, "workers", 1)
     rungs: list[tuple[int, dict]] = []
     stop = None
     try:
@@ -317,8 +299,7 @@ def ks_normal(samples) -> GofResult:
 
 def ks_uniform(samples, high: float) -> GofResult:
     """One-sample KS against the uniform law on (0, high)."""
-    if not high > 0:
-        raise InputError("uniform KS needs a positive upper endpoint")
+    high = check_positive(high, "high")
     return _ks_one_sample(samples, lambda x: np.clip(x / high, 0.0, 1.0), f"uniform(0,{high!r})")
 
 
@@ -348,7 +329,7 @@ def _path_values(law, schedule, times, reps, rng) -> np.ndarray:
 
 def terminal_samples(law: JumpLaw, schedule: ScalingSchedule, reps: int, rng) -> np.ndarray:
     """reps independent draws of the transport path value at t = 1."""
-    return _path_values(law, schedule, [1.0], _check_int(reps, "reps", 1), rng)[:, 0]
+    return _path_values(law, schedule, [1.0], check_int(reps, "reps", 1), rng)[:, 0]
 
 
 def covariance_check(law: JumpLaw, k: float, n: int, s: float, t: float, reps: int, rng) -> GofResult:
@@ -362,7 +343,7 @@ def covariance_check(law: JumpLaw, k: float, n: int, s: float, t: float, reps: i
 
     if not 0.0 <= s <= t <= 1.0:
         raise InputError("need 0 <= s <= t <= 1")
-    reps = _check_int(reps, "reps", 100)
+    reps = check_int(reps, "reps", 100)
     values = _path_values(law, scaling_constants(law, k, n), [s, t], reps, rng)
     prods = values[:, 0] * values[:, 1]
     estimate = float(prods.mean())
@@ -400,8 +381,8 @@ def as_trace(law: JumpLaw, k: float, n_grid, reps: int, master_seed: int) -> Tra
     campaign's driver, so the decomposition bound is checked here too.
     """
     grid = _check_ladder(law, k, n_grid)
-    reps = _check_int(reps, "reps", 1)
-    rungs = _ladder(law, k, grid, reps, _check_int(master_seed, "master_seed", 0), ROLE_TRACE, 1)
+    reps = check_int(reps, "reps", 1)
+    rungs = _ladder(law, k, grid, reps, check_int(master_seed, "master_seed", 0), ROLE_TRACE, 1)
     j = np.array([col["sup"] for _, col in rungs]).T
     monotone = np.all(np.diff(j, axis=1) < 0.0, axis=1)
     return TraceResult(

@@ -130,19 +130,16 @@ def has_zero_atom(law: JumpLaw) -> bool:
     return law.kind == "two_point" and 0.0 < _mass_at_zero(law) < 1.0
 
 
-def sample_jumps(law: JumpLaw, rng: np.random.Generator, size: int | None = None):
-    """Draw jump times from the law; scalar when size is None."""
-    m = 1 if size is None else int(size)
+def sample_jumps(law: JumpLaw, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw size jump times from the law."""
     if law.kind == "uniform01":
-        draws = rng.random(m)
-    elif law.kind == "exponential":
-        draws = rng.exponential(1.0 / law.params[0], m)
-    elif law.kind == "deterministic":
-        draws = np.full(m, law.params[0])
-    else:
-        a, b, p = law.params
-        draws = np.where(rng.random(m) < p, a, b)
-    return float(draws[0]) if size is None else draws
+        return rng.random(size)
+    if law.kind == "exponential":
+        return rng.exponential(1.0 / law.params[0], size)
+    if law.kind == "deterministic":
+        return np.full(size, law.params[0])
+    a, b, p = law.params
+    return np.where(rng.random(size) < p, a, b)
 
 
 def law_label(law: JumpLaw) -> str:

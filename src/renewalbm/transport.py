@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_int
 from .laws import JumpLaw, moments
 
 
@@ -41,15 +41,14 @@ class ScalingSchedule:
 def scaling_constants(law: JumpLaw, k: float, n: int) -> ScalingSchedule:
     """Build the ScalingSchedule for (law, k, n).
 
-    Raises InputError unless k > 1, n is a positive integer (not a bool),
+    Raises InputError unless k > 1, n passes errors.check_int at least 1,
     and mean_step and normalizer are at least the smallest normal float, so
     1 / mean_step is finite. Both are finite, since the law's moments are: it
     was checked when it was built.
     """
     if not k > 1.0:
         raise InputError("k must exceed 1")
-    if isinstance(n, (bool, np.bool_)) or not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InputError(f"n must be a positive integer, got {n!r}")
+    n = check_int(n, "n", 1)
     m1, m2, _ = moments(law)
     time_scale = float(n) ** (-float(k))
     normalizer = math.sqrt(time_scale * m2 / m1)
@@ -62,7 +61,7 @@ def scaling_constants(law: JumpLaw, k: float, n: int) -> ScalingSchedule:
         )
     return ScalingSchedule(
         k=float(k),
-        n=int(n),
+        n=n,
         time_scale=time_scale,
         normalizer=normalizer,
         mean_step=mean_step,

@@ -24,7 +24,6 @@ from renewalbm.exit_times import (
     first_crossing,
     grid_exit,
     invert_unit_cdf,
-    sample_first_exit,
     unit_exit_cdf,
     unit_exit_density,
 )
@@ -311,9 +310,6 @@ def test_density_continuous_at_switch():
 
 def test_sampler_parameter_checks():
     rng = np.random.default_rng(0)
-    for a in (0.0, -1.0):
-        with pytest.raises(InputError):
-            sample_first_exit(a, rng)
     with pytest.raises(InputError):
         grid_exit(0.0, 1e-4, rng)
     with pytest.raises(InputError):
@@ -321,29 +317,10 @@ def test_sampler_parameter_checks():
 
 
 def test_exact_sampler_moments():
-    rng = np.random.default_rng(7)
-    tau, sign = sample_first_exit(1.0, rng, size=100_000)
+    # tau_1 = invert_unit_cdf(u) has mean 1 and variance 2/3
+    tau = invert_unit_cdf(np.random.default_rng(7).random(100_000))
     assert abs(tau.mean() - 1.0) < 0.02
     assert abs(tau.var(ddof=1) - 2.0 / 3.0) < 0.05
-    assert abs(sign.mean()) < 4.0 / math.sqrt(sign.size)
-
-
-def test_exact_sampler_scaling():
-    # tau_a / a^2 has the unit law; compare a=2 draws against a=1 draws
-    rng = np.random.default_rng(13)
-    tau1, _ = sample_first_exit(1.0, rng, size=10_000)
-    tau2, _ = sample_first_exit(2.0, rng, size=10_000)
-    from renewalbm.experiments import ks_two_sample
-
-    res = ks_two_sample(tau1, tau2 / 4.0)
-    assert res.p_value > 0.01
-
-
-def test_sample_first_exit_scalar_form():
-    rng = np.random.default_rng(3)
-    tau, sign = sample_first_exit(0.5, rng)
-    assert isinstance(tau, float) and sign in (-1, 1)
-    assert tau > 0
 
 
 def grid_exit_with_walk(a, h, rng, *, max_steps=10**9):

@@ -322,7 +322,7 @@ def test_unusable_rung_fails_before_any_build(monkeypatch):
         as_trace(LAW, 3.0, ladder, 20, master_seed=1)
     with pytest.raises(InputError, match="mean_step"):
         RateExperimentConfig(law=LAW, k=3.0, n_grid=ladder, reps=20, master_seed=1)
-    with pytest.raises(InputError, match="positive integer"):
+    with pytest.raises(InputError, match="n must be positive and an integer"):
         as_trace(LAW, 2.0, [0, 4], 2, master_seed=1)
     assert builds == []
     # trace still runs a ladder from n = 1, which rate rejects
@@ -333,11 +333,11 @@ def test_unusable_rung_fails_before_any_build(monkeypatch):
 def test_non_integer_rung_fails_before_any_build(monkeypatch):
     # a rung reaches scaling_constants as passed, not truncated to n = 4
     builds = _counted_builds(monkeypatch)
-    with pytest.raises(InputError, match="positive integer"):
+    with pytest.raises(InputError, match="n must be positive and an integer"):
         RateExperimentConfig(law=LAW, k=2.0, n_grid=(4.7, 8), reps=2, master_seed=1)
-    with pytest.raises(InputError, match="positive integer"):
+    with pytest.raises(InputError, match="n must be positive and an integer"):
         as_trace(LAW, 2.0, [4.7], 2, master_seed=1)
-    with pytest.raises(InputError, match="positive integer"):
+    with pytest.raises(InputError, match="n must be positive and an integer"):
         as_trace(LAW, 2.0, [True, 2], 2, master_seed=1)
     assert builds == []
     cfg = RateExperimentConfig(law=LAW, k=2.0, n_grid=(np.int64(4), 8), reps=2, master_seed=1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import renewalbm.errors
-from renewalbm.coupling import TransportPath, transport_paths
+from renewalbm.coupling import TransportPath, build_coupled_realization, transport_paths
 from renewalbm.errors import BudgetError, InputError
 from renewalbm.experiments import covariance_check, terminal_samples
 from renewalbm.laws import deterministic, exponential, uniform01
@@ -231,3 +231,9 @@ def test_eval_domain_errors():
         tp.value_at(1.0000001)
     with pytest.raises(InputError):
         tp.value_at(-1e-9)
+    # a NaN time, alone or in an array, is outside the range too
+    real = build_coupled_realization(uniform01(), sched, np.random.default_rng(31), engine="exact")
+    for path in (tp, real):
+        for t in (math.nan, [0.5, math.nan]):
+            with pytest.raises(InputError, match="evaluation time t"):
+                path.value_at(t)
