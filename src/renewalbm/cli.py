@@ -228,7 +228,7 @@ def _cmd_couple(args, law) -> dict:
         if args.export_grid_path:
             raise InputError("--export-grid-path needs --engine grid")
         # Stream the blocks into the file, so memory does not grow with n.
-        sums = EmbeddingSums()
+        sums = EmbeddingSums(sched.normalizer)
         blocks = sums.tally(exact_blocks(law, sched, rng))
         csvio.write_realization_blocks(out, law, sched, "exact", args.seed, blocks)
         items["steps"] = sums.steps

@@ -58,13 +58,12 @@ evaluating every grid time, to the last bit.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConsistencyError, InputError, check_budget, check_int, check_steps
+from .errors import ConsistencyError, InputError, check_budget, check_int, check_real, check_steps
 from .exit_times import _tables, first_crossing, invert_unit_cdf
 from .laws import JumpLaw, sample_jumps
 from .streams import child_streams
@@ -92,7 +91,6 @@ class GridPath:
 
     step: float
     values: np.ndarray
-    max_increment: float
 
 
 @dataclass(eq=False)
@@ -100,16 +98,16 @@ class StepBlock:
     """Embedding steps start + 1 .. start + n_steps: one block of the exact
     engine, or all steps of a grid build.
 
-    levels, signs, exit_times and durations are per step; path_times,
-    bm_times and skeleton are the clocks and the skeleton after each step
-    (the leading zero of a CoupledRealization belongs to no block).
+    Three draws, three running sums: levels, signs and exit_times are per
+    step; path_times, bm_times and skeleton are the clocks and the skeleton
+    after each step (the leading zero of a CoupledRealization belongs to no
+    block). A step's duration is schedule.normalizer * level.
     """
 
     start: int
     levels: np.ndarray
     signs: np.ndarray
     exit_times: np.ndarray
-    durations: np.ndarray
     path_times: np.ndarray
     bm_times: np.ndarray
     skeleton: np.ndarray
@@ -141,7 +139,6 @@ class CoupledRealization:
     levels: np.ndarray
     signs: np.ndarray
     exit_times: np.ndarray
-    durations: np.ndarray
     path_times: np.ndarray  # transport clock, Gamma_0..Gamma_M
     bm_times: np.ndarray  # Brownian clock, Lambda_0..Lambda_M
     skeleton: np.ndarray  # shared values at the clock times
@@ -305,7 +302,7 @@ def build_coupled_realization(
             check_budget(held * (block.start + block.n_steps + 1), "exact realization arrays")
             blocks.append(block)
         return _assemble(law, schedule, "exact", blocks, None, None)
-    h = schedule.mean_step / GRID_STEP_DIVISOR if grid_step is None else float(grid_step)
+    h = schedule.mean_step / GRID_STEP_DIVISOR if grid_step is None else check_real(grid_step, "grid_step")
     if not 0 < h <= schedule.mean_step:
         raise InputError(f"grid step {h!r} must lie in (0, mean_step]")
     return _build_grid(law, schedule, rng, h)
@@ -341,12 +338,13 @@ def transport_paths(law, schedule, horizon, rng):
     checked against errors.ALLOC_BUDGET_BYTES before each draw, the first
     when this is called: BudgetError past it.
     """
-    if not 0.0 <= horizon < math.inf:
+    horizon = check_real(horizon, "horizon")
+    if horizon < 0.0:
         raise InputError(f"horizon must be finite and nonnegative, got {horizon!r}")
     expected = horizon / schedule.mean_step
     size = expected + 4.0 * math.sqrt(expected) + 16
     check_budget(_PATH_HELD * (size + 1), "transport path arrays")
-    return _paths(law, schedule, float(horizon), child_streams(rng), size)
+    return _paths(law, schedule, horizon, child_streams(rng), size)
 
 
 def _paths(law, schedule, horizon, streams, size):
@@ -377,8 +375,8 @@ def sample_embedding_steps(law, schedule, steps, rng):
 
     Returns (levels, signs, exit_times, durations): the first steps an exact
     realization from the same rng would take, drawn through the same
-    streams; meant for marginal checks that want many more steps than one
-    covering realization holds.
+    streams, with durations = normalizer * levels; meant for marginal checks
+    that want many more steps than one covering realization holds.
     """
     steps = check_int(steps, "steps", 1)
     levels, signs, exit_times = _exact_steps(law, schedule, child_streams(rng), steps)
@@ -448,8 +446,6 @@ class _Walk:
         self._rng, self._h = rng, h
         self._buf = np.empty(points)
         self._buf[0] = 0.0
-        # Per drawn block: its end index b and the largest |w_{i+1} - w_i|, i < b.
-        self._ends, self._tops = [], []
         self.values = self._buf[:1]
         self._draw()
 
@@ -467,9 +463,6 @@ class _Walk:
             inc[0] += self._buf[a]
         b = a + len(inc)
         np.cumsum(inc, out=self._buf[a + 1 : b + 1])
-        np.subtract(self._buf[a + 1 : b + 1], self._buf[a:b], out=inc)
-        self._ends.append(b)
-        self._tops.append(float(np.abs(inc, out=inc).max()))
         self.values = self._buf[: b + 1]
 
     def crossing(self, start, level, chunk):
@@ -479,14 +472,10 @@ class _Walk:
         return j
 
     def path(self, last):
-        """GridPath of w_0..w_last; max_increment is max |w_{i+1} - w_i|, i < last."""
+        """GridPath of w_0..w_last."""
         while len(self.values) <= last:
             self._draw()
-        whole = bisect.bisect_right(self._ends, last)
-        a = self._ends[whole - 1] if whole else 0
-        tail = float(np.abs(np.diff(self.values[a : last + 1])).max(initial=0.0))
-        top = max([tail, *self._tops[:whole]])
-        return GridPath(step=self._h, values=self.values[: last + 1], max_increment=top)
+        return GridPath(step=self._h, values=self.values[: last + 1])
 
 
 def _build_grid(law, schedule, rng, h):
@@ -544,14 +533,12 @@ def _running_sum(steps, carry):
 def _step_block(schedule, start, levels, signs, sigmas, carry):
     # carry: the last (Gamma, Lambda, skeleton) of the block before, or None.
     gamma, lam, skel = (None, None, None) if carry is None else carry
-    durations = schedule.normalizer * levels
     return StepBlock(
         start=start,
         levels=levels,
         signs=signs,
         exit_times=sigmas,
-        durations=durations,
-        path_times=_running_sum(durations.copy(), gamma),
+        path_times=_running_sum(schedule.normalizer * levels, gamma),
         bm_times=_running_sum(sigmas.copy(), lam),
         skeleton=_running_sum(signs * levels, skel),
     )
@@ -710,10 +697,10 @@ def decompose_sup(real: CoupledRealization) -> SupDecomposition:
     win_min = np.minimum(np.minimum.reduceat(w, reduce_idx)[:-1], w[ends])
     j3 = float(np.maximum(win_max - at_gamma, at_gamma - win_min).max())
 
-    j4 = float(real.durations[: m_dec + 1].max()) / sched.normalizer
+    j4 = float((sched.normalizer * real.levels[: m_dec + 1]).max()) / sched.normalizer
 
     drift = float(np.abs(real.skeleton[: m_dec + 1] - at_lambda).max())
-    slack = drift + 2.0 * grid.max_increment
+    slack = drift + 2.0 * _largest_step(w)
     sup = sup_distance(real, "grid")
     dec = SupDecomposition(j1=j1, j2=j2, j3=j3, j4=j4, sup=sup, slack=slack, segments=m_dec)
     if dec.bound_gap > 0:
@@ -724,15 +711,26 @@ def decompose_sup(real: CoupledRealization) -> SupDecomposition:
     return dec
 
 
+def _largest_step(w):
+    # max |w[i+1] - w[i]| over the walk, SUP_BLOCK differences at a time.
+    top = 0.0
+    for a in range(0, len(w) - 1, SUP_BLOCK):
+        d = np.diff(w[a : a + SUP_BLOCK + 1])
+        top = max(top, float(np.abs(d, out=d).max()))
+    return top
+
+
 @dataclass
 class EmbeddingSums:
     """Running sums behind embedding_diagnostics, added one block at a time.
 
-    add takes anything with levels, exit_times and durations arrays: a
-    StepBlock or a whole CoupledRealization. For one whole realization the
-    means are those of np.mean, bit for bit.
+    normalizer is the schedule's: a step's duration is normalizer * level.
+    add takes anything with levels and exit_times arrays: a StepBlock or a
+    whole CoupledRealization. For one whole realization the means are those
+    of np.mean, bit for bit.
     """
 
+    normalizer: float
     steps: int = 0
     exit_time: float = 0.0
     duration: float = 0.0
@@ -743,7 +741,7 @@ class EmbeddingSums:
         sig = part.exit_times
         self.steps += len(sig)
         self.exit_time += float(sig.sum())
-        self.duration += float(part.durations.sum())
+        self.duration += float((self.normalizer * part.levels).sum())
         self.exit_time_sq += float((sig**2).sum())
         self.level_4 += float((part.levels**4).sum())
 
@@ -773,6 +771,6 @@ def embedding_diagnostics(real: CoupledRealization) -> dict[str, float]:
     counterpart of the universal constant bounding E(sigma^2) by E(xi^4);
     it is reported, never used in any computation.
     """
-    sums = EmbeddingSums()
+    sums = EmbeddingSums(real.schedule.normalizer)
     sums.add(real)
     return sums.diagnostics()

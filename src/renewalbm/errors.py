@@ -5,8 +5,9 @@ One class per outcome: InputError for input that fails its preconditions
 or past the step budget (exit 3), NumericError and ConsistencyError for failures on valid input
 (exit 1). Inputs are checked where they enter: a JumpLaw when it is built, a
 schedule in scaling_constants, a count or scale at each public entry through
-check_int and check_positive, the one integer rule and the one positive-real
-rule of the package, so code downstream does not check them again.
+check_int, check_real and check_positive, the one integer rule, the one real
+rule and the one positive-real rule of the package, so code downstream does
+not check them again.
 """
 
 import math
@@ -74,9 +75,16 @@ def check_int(value, name: str, least: int) -> int:
     return int(value)
 
 
-def check_positive(value, name: str) -> float:
-    """value as a float, once it is known to be a finite positive real
-    (numpy's too, not a bool); InputError naming it otherwise."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
-        raise InputError(f"{name} must be positive and finite, got {value!r}")
+def check_real(value, name: str, least: float = -math.inf) -> float:
+    """value as a float, once it is known to be a finite real (numpy's too,
+    not a bool) above least, -inf or 0; InputError naming it otherwise."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) or not least < value < math.inf:
+        rule = "a finite real" if least == -math.inf else "positive and finite"
+        raise InputError(f"{name} must be {rule}, got {value!r}")
     return float(value)
+
+
+def check_positive(value, name: str) -> float:
+    """check_real above 0: value as a float, once it is known to be a finite
+    positive real; InputError naming it otherwise."""
+    return check_real(value, name, 0.0)

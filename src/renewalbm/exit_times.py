@@ -304,8 +304,8 @@ def grid_exit(a: float, h: float, rng: np.random.Generator) -> tuple[float, int]
     drawn in blocks and only its last value is kept; BudgetError if a block
     would exceed errors.ALLOC_BUDGET_BYTES.
     """
-    a = check_positive(a, "a")
-    if not 0 < h <= a * a / 100.0:
+    a, h = check_positive(a, "a"), check_positive(h, "h")
+    if h > a * a / 100.0:
         raise InputError(f"grid step h={h!r} must lie in (0, a^2/100]")
     sqrt_h = math.sqrt(h)
     block = int(1.25 * a * a / h) + 64

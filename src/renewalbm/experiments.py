@@ -30,17 +30,17 @@ from multiprocessing import Pool
 import numpy as np
 
 from .coupling import build_coupled_realization, decompose_sup, transport_paths
-from .errors import BudgetError, InputError, check_int, check_positive
+from .errors import BudgetError, InputError, check_int, check_positive, check_real
 from .laws import JumpLaw
 from .streams import ROLE_RATE, ROLE_TRACE, derived_rng
 from .transport import ScalingSchedule, scaling_constants
 
 
 def rate_scale(n: int, k: float) -> float:
-    """Deviation scale n**(-k/4) * log(n)**1.5 (natural log)."""
-    if n < 2:
-        raise InputError("rate scale needs n >= 2")
-    return float(n) ** (-float(k) / 4.0) * math.log(n) ** 1.5
+    """Deviation scale n**(-k/4) * log(n)**1.5 (natural log), for an integer
+    n >= 2 and a finite real k."""
+    n, k = check_int(n, "n", 2), check_real(k, "k")
+    return float(n) ** (-k / 4.0) * math.log(n) ** 1.5
 
 
 def _check_ladder(law: JumpLaw, k: float, n_grid) -> tuple[int, ...]:
@@ -140,7 +140,7 @@ def slope_error(real) -> float:
     more precision than the slope contract allows, without saying anything
     new about the path.
     """
-    d = real.durations
+    d = real.schedule.normalizer * real.levels
     wide = np.flatnonzero(d >= real.schedule.mean_step)
     if wide.size == 0:
         wide = np.asarray([int(np.argmax(d))])
@@ -341,6 +341,7 @@ def covariance_check(law: JumpLaw, k: float, n: int, s: float, t: float, reps: i
     """
     from scipy import special
 
+    s, t = check_real(s, "s"), check_real(t, "t")
     if not 0.0 <= s <= t <= 1.0:
         raise InputError("need 0 <= s <= t <= 1")
     reps = check_int(reps, "reps", 100)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, check_int
+from .errors import InputError, check_int, check_real
 from .laws import JumpLaw, moments
 
 
@@ -41,16 +41,17 @@ class ScalingSchedule:
 def scaling_constants(law: JumpLaw, k: float, n: int) -> ScalingSchedule:
     """Build the ScalingSchedule for (law, k, n).
 
-    Raises InputError unless k > 1, n passes errors.check_int at least 1,
-    and mean_step and normalizer are at least the smallest normal float, so
-    1 / mean_step is finite. Both are finite, since the law's moments are: it
-    was checked when it was built.
+    Raises InputError unless k passes errors.check_real and exceeds 1, n
+    passes errors.check_int at least 1, and mean_step and normalizer are at
+    least the smallest normal float, so 1 / mean_step is finite. Both are
+    finite, since the law's moments are: it was checked when it was built.
     """
+    k = check_real(k, "k")
     if not k > 1.0:
         raise InputError("k must exceed 1")
     n = check_int(n, "n", 1)
     m1, m2, _ = moments(law)
-    time_scale = float(n) ** (-float(k))
+    time_scale = float(n) ** -k
     normalizer = math.sqrt(time_scale * m2 / m1)
     mean_step = time_scale * m1
     tiny = float(np.finfo(float).tiny)
@@ -60,7 +61,7 @@ def scaling_constants(law: JumpLaw, k: float, n: int) -> ScalingSchedule:
             f"normalizer {normalizer!r}; both must be at least {tiny!r}"
         )
     return ScalingSchedule(
-        k=float(k),
+        k=k,
         n=n,
         time_scale=time_scale,
         normalizer=normalizer,

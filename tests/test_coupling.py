@@ -25,6 +25,8 @@ from renewalbm.coupling import (
     sample_embedding_steps,
     _first_grid_index,
     _grid_horizon_index,
+    _largest_step,
+    _target_steps,
     sample_exit_level,
     sup_distance,
     transport_paths,
@@ -56,7 +58,7 @@ def test_unit_schedule_realization():
     sched = scaling_constants(law, 2.0, 1)
     real = build_coupled_realization(law, sched, np.random.default_rng(5), engine="exact")
     assert np.all(real.levels == 1.0)
-    assert np.all(real.durations == 1.0)
+    assert np.all(sched.normalizer * real.levels == 1.0)
     assert real.first_cover == 1
     assert np.array_equal(real.skeleton, np.concatenate([[0], np.cumsum(real.signs)]))
     assert real.value_at(0.5) == 0.5 * real.signs[0]
@@ -129,9 +131,9 @@ def test_decomposition_bounds_sup():
         assert min(dec.j1, dec.j2, dec.j3, dec.j4) >= 0.0
         assert dec.sup == sup_distance(real, "grid")
         assert dec.segments == max(int(1.0 / sched.mean_step), real.first_cover)
-        assert dec.slack >= 2.0 * real.grid.max_increment
+        assert dec.slack >= 2.0 * np.abs(np.diff(real.grid.values)).max()
         assert dec.j4 == pytest.approx(
-            real.durations[: dec.segments + 1].max() / sched.normalizer, rel=1e-12
+            (sched.normalizer * real.levels[: dec.segments + 1]).max() / sched.normalizer, rel=1e-12
         )
 
 
@@ -145,8 +147,8 @@ def test_grid_walk_is_brownian():
     assert abs(inc.mean()) < 4 * math.sqrt(h / n)
     var_se = h * math.sqrt(2.0 / (n - 1))
     assert abs(inc.var(ddof=1) - h) < 4 * var_se
-    # diff-of-cumsum reconstructs the draws only to rounding
-    assert real.grid.max_increment == pytest.approx(np.abs(inc).max(), rel=1e-9)
+    # the largest step, taken SUP_BLOCK differences at a time, is the whole walk's
+    assert _largest_step(real.grid.values) == np.abs(inc).max()
 
 
 def test_grid_clocks_sit_on_the_lattice():
@@ -196,7 +198,7 @@ def test_embedding_diagnostics_fields():
     diag = embedding_diagnostics(real)
     assert set(diag) == {"steps", "mean_exit_time", "mean_duration", "second_moment_ratio"}
     assert diag["steps"] == real.n_steps
-    assert diag["mean_duration"] == pytest.approx(real.durations.mean(), rel=1e-12)
+    assert diag["mean_duration"] == pytest.approx((real.schedule.normalizer * real.levels).mean(), rel=1e-12)
     # E sigma^2 = E xi^4 * E tau_1^2 with E tau_1^2 = 5/3
     assert 0.9 < diag["second_moment_ratio"] < 3.0
 
@@ -252,9 +254,9 @@ def _hand_built(path_times, signs, skeleton, walk, h, n, levels=None):
     return CoupledRealization(
         law=LAW, schedule=sched, engine="grid",
         levels=durations / sched.normalizer if levels is None else levels,
-        signs=np.asarray(signs), exit_times=durations, durations=durations, path_times=path_times,
+        signs=np.asarray(signs), exit_times=durations, path_times=path_times,
         bm_times=path_times, skeleton=np.asarray(skeleton, dtype=float), first_cover=0,
-        grid=GridPath(step=h, values=walk, max_increment=0.0), bm_index=None,
+        grid=GridPath(step=h, values=walk), bm_index=None,
     )
 
 
@@ -364,7 +366,7 @@ def test_grid_horizon_index_reaches_t_equal_1():
 def test_grid_horizon_index_is_last_grid_time_at_or_before_1(h):
     # a zero-stride walk: the index needs only the step and the length
     walk = np.broadcast_to(0.0, (int(1.0 / h) + 3,))
-    i = _grid_horizon_index(GridPath(step=h, values=walk, max_increment=0.0))
+    i = _grid_horizon_index(GridPath(step=h, values=walk))
     assert i * h <= 1.0 < (i + 1) * h
 
 
@@ -477,7 +479,7 @@ def test_both_engines_draw_the_same_levels():
         m = min(grid.n_steps, exact.n_steps)
         assert m > 500
         assert grid.levels[:m].tobytes() == exact.levels[:m].tobytes()
-        assert grid.durations[:m].tobytes() == exact.durations[:m].tobytes()
+        assert (sched.normalizer * grid.levels[:m]).tobytes() == (sched.normalizer * exact.levels[:m]).tobytes()
     # and sample_embedding_steps draws an exact realization's first steps
     levels, signs, exit_times, _ = sample_embedding_steps(LAW, sched, 100, derived_rng(5, ROLE_RATE, 16, 4))
     assert levels.tobytes() == exact.levels[:100].tobytes()
@@ -550,7 +552,7 @@ def test_exact_blocks_carry_the_clocks_bit_for_bit(monkeypatch, law):
     real = build_coupled_realization(law, sched, np.random.default_rng(3), engine="exact")
     assert real.levels.tobytes() == np.concatenate([b.levels for b in blocks]).tobytes()
     # the carried running sums are one cumsum over all steps, signed zeros too
-    assert real.path_times[1:].tobytes() == np.cumsum(real.durations).tobytes()
+    assert real.path_times[1:].tobytes() == np.cumsum(sched.normalizer * real.levels).tobytes()
     assert real.bm_times[1:].tobytes() == np.cumsum(real.exit_times).tobytes()
     assert real.skeleton[1:].tobytes() == np.cumsum(real.signs * real.levels).tobytes()
 
@@ -591,7 +593,7 @@ def test_exact_build_is_checked_against_the_byte_budget(monkeypatch):
 
 
 def test_exact_build_budget_counts_every_array_it_holds(monkeypatch):
-    # Room for two arrays of target + 1 points, not for the fourteen the join
+    # Room for two arrays of target + 1 points, not for the twelve the join
     # holds: refused before the first draw.
     sched = scaling_constants(LAW, 2.0, 64)
     sizes = _counted_exact_steps(monkeypatch)
@@ -600,6 +602,23 @@ def test_exact_build_budget_counts_every_array_it_holds(monkeypatch):
     with pytest.raises(BudgetError, match="exact realization array"):
         build_coupled_realization(LAW, sched, np.random.default_rng(1), engine="exact")
     assert sizes == []
+
+
+def test_in_memory_exact_build_is_refused_from_n_2365(monkeypatch):
+    # Twelve arrays of target + 1 points, 96 bytes a step: n = 2364 passes
+    # the check before the first draw, which is stopped there, and n = 2365
+    # is refused before it.
+    def refuse(law, schedule, streams, size):
+        raise _Refused
+
+    monkeypatch.setattr(renewalbm.coupling, "_exact_steps", refuse)
+    sizes = _counted_exact_steps(monkeypatch)
+    for n, fits in ((2364, True), (2365, False)):
+        sched = scaling_constants(LAW, 2.0, n)
+        assert (8 * _HELD * (_target_steps(sched) + 1) <= renewalbm.errors.ALLOC_BUDGET_BYTES) is fits
+        with pytest.raises(_Refused if fits else BudgetError):
+            build_coupled_realization(LAW, sched, np.random.default_rng(1), engine="exact")
+    assert len(sizes) == 1
 
 
 def test_exact_stream_draws_few_steps_past_the_stop(monkeypatch):
@@ -638,9 +657,10 @@ def test_grid_walk_bits_do_not_depend_on_the_block():
         for block in (7, 1000):
             with mock.patch.object(renewalbm.coupling, "SUP_BLOCK", block):
                 blocked = build_coupled_realization(LAW, sched, np.random.default_rng(seed))
+                top = _largest_step(blocked.grid.values)
             assert blocked.grid.values.tobytes() == whole.grid.values.tobytes()
             assert blocked.bm_index.tobytes() == whole.bm_index.tobytes()
-            assert blocked.grid.max_increment == whole.grid.max_increment
+            assert top == _largest_step(whole.grid.values)
             assert sup_distance(blocked) == sup_distance(whole)
 
 
