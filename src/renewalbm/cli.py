@@ -3,12 +3,14 @@
 Each option is declared once, by its argparse action: type, default,
 choices and help. A key=value config file names options by dest (the flag
 with underscores); each value goes through its option's own type and
-choices, and flags override the file. Unknown keys are rejected. Each
-command writes its artifacts and returns its summary items; main prints them
-after the law's as one line. Exit codes: 0 success, 2 bad input
-(errors.InputError, raised where the input enters), 3 a request past the
-allocation budget or the step budget, or a failed allocation, 1 anything
-else.
+choices (every option takes a value), and flags override the file. Unknown
+keys are rejected. Each command writes its artifacts and returns its summary
+items; main prints them after the law's as one line. couple writes
+realization.csv only: either engine's steps, a grid build as one block or
+the exact stream, go through one EmbeddingSums into one realization writer.
+Exit codes: 0 success, 2 bad input (errors.InputError, raised where the
+input enters), 3 a request past the allocation budget or the step budget,
+or a failed allocation, 1 anything else.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from .coupling import (
     GRID_STEP_DIVISOR,
     EmbeddingSums,
     build_coupled_realization,
-    embedding_diagnostics,
     exact_blocks,
     sup_distance,
     transport_paths,
 )
+from .coupling import embedding_diagnostics  # not called here: bench/tracing.py wraps this name
 from .errors import BudgetError, InputError
 from .experiments import (
     RateExperimentConfig,
@@ -71,15 +73,6 @@ def _parse_seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise InputError(f"expected a boolean, got {text!r}")
-
-
 def _build_parser():
     """The parser, and per subcommand its subparser and the actions of the
     options a config file may set, keyed by dest."""
@@ -113,7 +106,6 @@ def _build_parser():
     option = add_command("couple", "one coupled transport/Brownian realization")
     option("--n", type=int, help="scale index (required)")
     option("--engine", choices=("exact", "grid"), default="grid", help="embedding engine (default %(default)s)")
-    option("--export-grid-path", action="store_true", help="also write the grid Brownian path (may be large)")
 
     option = add_command("rate", "deviation-rate campaign across scales")
     option("--n-grid", type=_parse_n_grid, help="comma-separated increasing scales (required)")
@@ -149,10 +141,9 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _config_value(action, text: str):
-    # What the flag would store: a flag that takes no value (store_true)
-    # reads a boolean, every other one its own type, checked against its choices.
+    # What the flag would store: its own type, checked against its choices.
     try:
-        value = _parse_bool(text) if action.nargs == 0 else (action.type or str)(text)
+        value = (action.type or str)(text)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise InputError(f"config key {action.dest!r}: {exc}") from None
     if action.choices is not None and value not in action.choices:
@@ -218,28 +209,22 @@ def _cmd_couple(args, law) -> dict:
     sched = scaling_constants(law, args.k, args.n)
     rng = derived_rng(args.seed, ROLE_COUPLE, args.n, 0)
     out = Path(args.out) / "realization.csv"
-    items = {"n": args.n, "engine": args.engine}
     if args.engine == "grid":
         real = build_coupled_realization(law, sched, rng, engine="grid")
-        csvio.write_realization_csv(out, real, args.seed)
-        items.update(steps=real.n_steps, sup=sup_distance(real, "grid"))
-        diag = embedding_diagnostics(real)
+        blocks = [real.as_block()]
     else:
-        if args.export_grid_path:
-            raise InputError("--export-grid-path needs --engine grid")
-        # Stream the blocks into the file, so memory does not grow with n.
-        sums = EmbeddingSums(sched.normalizer)
-        blocks = sums.tally(exact_blocks(law, sched, rng))
-        csvio.write_realization_blocks(out, law, sched, "exact", args.seed, blocks)
-        items["steps"] = sums.steps
-        diag = sums.diagnostics()
+        # A stream, never a list: one block is held at a time, so memory
+        # does not grow with n.
+        blocks = exact_blocks(law, sched, rng)
+    sums = EmbeddingSums(sched.normalizer)
+    csvio.write_realization_blocks(out, law, sched, args.engine, args.seed, sums.tally(blocks))
+    items = {"n": args.n, "engine": args.engine, "steps": sums.steps}
+    if args.engine == "grid":
+        items["sup"] = sup_distance(real, "grid")
+    diag = sums.diagnostics()
     for key in ("mean_exit_time", "mean_duration", "second_moment_ratio"):
         items[key] = diag[key]
     items["out"] = str(out)
-    if args.export_grid_path:
-        grid_out = Path(args.out) / "grid_path.csv"
-        csvio.write_grid_csv(grid_out, real, args.seed)
-        items["grid_out"] = str(grid_out)
     return items
 
 

@@ -154,7 +154,8 @@ class CoupledRealization:
         """Transport-path value at scalar or array t in [0, last clock time].
 
         Exact at clock times (zero-length linear correction) and of slope
-        exactly +/- 1/normalizer inside segments.
+        exactly +/- 1/normalizer inside segments. InputError unless t's dtype
+        is an integer or float one and every t is in range.
         """
         return _value_at(self, t, self.path_times[-1])
 
@@ -177,9 +178,13 @@ def _transport(t, gamma, sign, skel, norm):
 
 def _value_at(path, t, last):
     # value_at of a CoupledRealization or a TransportPath: the path at t in
-    # [0, last] through _transport, on the segment searchsorted picks. min
-    # and max carry a NaN, which fails both tests.
-    arr = np.asarray(t, dtype=float)
+    # [0, last] through _transport, on the segment searchsorted picks. t is
+    # refused unless its dtype is an integer or float one (not bool); min
+    # and max carry a NaN, which fails both range tests.
+    arr = np.asarray(t)
+    if arr.dtype.kind not in "iuf":
+        raise InputError(f"t must be a real or an array of reals, got {t!r}")
+    arr = arr.astype(float, copy=False)
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= last):
         raise InputError(f"evaluation time t outside [0, {last!r}]")
     seg = np.searchsorted(path.path_times, arr, side="right") - 1

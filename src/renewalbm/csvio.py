@@ -29,7 +29,6 @@ import numpy as np
 
 from ._version import __version__
 from .coupling import GRID_STEP_DIVISOR
-from .errors import InputError
 from .laws import law_label
 
 ROW_BLOCK = 8192  # rows rendered per write; bounds the matrices held at once
@@ -339,15 +338,6 @@ def write_realization_blocks(file, law, schedule, engine, seed, blocks) -> None:
 
     stamp = _stamp(law=law_label(law), k=schedule.k, n=schedule.n, engine=engine, seed=seed)
     _write_table(file, stamp, ("m", "Gamma", "Lambda", "skeleton_value"), rows())
-
-
-def write_grid_csv(file, real, seed) -> None:
-    """Grid Brownian path as t,w rows; may be large."""
-    if real.grid is None:
-        raise InputError("realization has no grid path to export")
-    sched, grid = real.schedule, real.grid
-    stamp = _stamp(law=law_label(real.law), k=sched.k, n=sched.n, grid_step=grid.step, seed=seed)
-    _write_table(file, stamp, ("t", "w"), [(np.arange(len(grid.values)) * grid.step, grid.values)])
 
 
 def write_rate_csv(file, result) -> None:

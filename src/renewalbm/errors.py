@@ -7,7 +7,8 @@ or past the step budget (exit 3), NumericError and ConsistencyError for failures
 schedule in scaling_constants, a count or scale at each public entry through
 check_int, check_real and check_positive, the one integer rule, the one real
 rule and the one positive-real rule of the package, so code downstream does
-not check them again.
+not check them again. is_real is the type test of the real rule, which a
+JumpLaw's parameters pass too.
 """
 
 import math
@@ -75,10 +76,15 @@ def check_int(value, name: str, least: int) -> int:
     return int(value)
 
 
+def is_real(value) -> bool:
+    """True when value is a real number (numpy's too) and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_real(value, name: str, least: float = -math.inf) -> float:
-    """value as a float, once it is known to be a finite real (numpy's too,
-    not a bool) above least, -inf or 0; InputError naming it otherwise."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) or not least < value < math.inf:
+    """value as a float, once it is known to be a finite real (is_real)
+    above least, -inf or 0; InputError naming it otherwise."""
+    if not is_real(value) or not least < value < math.inf:
         rule = "a finite real" if least == -math.inf else "positive and finite"
         raise InputError(f"{name} must be {rule}, got {value!r}")
     return float(value)

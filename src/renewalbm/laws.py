@@ -3,7 +3,7 @@
 The family is deliberately closed: every law must expose exact first, second
 and fourth moments, because the scaling constants derived from them must not
 carry Monte Carlo error. A JumpLaw is checked when it is built, so every law
-that exists has finite parameters and finite, positive moments, and the
+that exists has finite float parameters and finite, positive moments, and the
 functions below take it as valid.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, is_real
 
 KINDS = ("uniform01", "exponential", "deterministic", "two_point")
 
@@ -28,15 +28,19 @@ class JumpLaw:
             exponential -> (rate,), deterministic -> (c,),
             two_point -> (a, b, p) taking value a with probability p.
 
-    Raises InputError, naming the law and every violated rule, unless the
-    parameters fit the kind, are finite, and give finite, positive m1, m2
-    and m4.
+    Raises InputError unless every parameter is a real number (numpy's too)
+    and not a bool, and then, naming the law and every violated rule, unless
+    the parameters fit the kind, are finite, and give finite, positive m1, m2
+    and m4. The parameters are held as floats.
     """
 
     kind: str
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
+        if not all(map(is_real, self.params)):
+            raise InputError(f"{self.kind} parameters must be reals, got {self.params!r}")
+        object.__setattr__(self, "params", tuple(map(float, self.params)))
         bad = _violations(self)
         if bad:
             raise InputError(f"invalid jump law {law_label(self)}: " + "; ".join(bad))
@@ -47,15 +51,15 @@ def uniform01() -> JumpLaw:
 
 
 def exponential(rate: float) -> JumpLaw:
-    return JumpLaw("exponential", (float(rate),))
+    return JumpLaw("exponential", (rate,))
 
 
 def deterministic(c: float) -> JumpLaw:
-    return JumpLaw("deterministic", (float(c),))
+    return JumpLaw("deterministic", (c,))
 
 
 def two_point(a: float, b: float, p: float) -> JumpLaw:
-    return JumpLaw("two_point", (float(a), float(b), float(p)))
+    return JumpLaw("two_point", (a, b, p))
 
 
 def _mass_at_zero(law: JumpLaw) -> float:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from renewalbm.cli import _COMMANDS
+from renewalbm.cli import _COMMANDS, _build_parser
 
 yaml = pytest.importorskip("yaml")
 
@@ -27,3 +27,16 @@ def test_smoke_step_runs_every_subcommand():
     smoke = _steps()["Console script smoke"]
     for command in _COMMANDS:
         assert re.search(rf"^\s*(timeout \d+ )?renewalbm {re.escape(command)}\b", smoke, re.M), command
+
+
+def test_smoke_lines_pass_only_declared_flags():
+    # A flag deleted from the CLI but left in the workflow would otherwise
+    # fail only on a runner.
+    commands = _build_parser()[1]
+    smoke = _steps()["Console script smoke"]
+    lines = re.findall(r"^\s*(?:timeout \d+ )?renewalbm ([a-z][\w-]*)(.*)$", smoke, re.M)
+    assert {command for command, _ in lines} == set(_COMMANDS)
+    for command, rest in lines:
+        declared = commands[command][0]._option_string_actions
+        for flag in re.findall(r"(?<!\S)--[\w-]+", rest):
+            assert flag in declared, (command, flag)

@@ -15,7 +15,7 @@ import renewalbm.coupling
 import renewalbm.errors
 import renewalbm.experiments
 from renewalbm.cli import main, parse_config
-from renewalbm.coupling import build_coupled_realization, embedding_diagnostics
+from renewalbm.coupling import build_coupled_realization, embedding_diagnostics, sup_distance
 from renewalbm.csvio import format_value, write_realization_csv, write_summary
 from renewalbm.errors import BudgetError
 from renewalbm.laws import parse_law
@@ -64,8 +64,7 @@ def test_usage_exit_codes(tmp_path, capsys):
     assert main(["rate", "--n-grid", "4,8", "--q", "1", "--out", str(tmp_path)]) == 2
     assert main(["gof", "--n", "10", "--s", "0.9", "--t", "0.5", "--out", str(tmp_path)]) == 2
     assert main(["simulate-path", "--n", "10", "--frobnicate"]) == 2
-    assert main(["couple", "--n", "6", "--engine", "exact", "--export-grid-path",
-                 "--out", str(tmp_path)]) == 2
+    assert main(["couple", "--n", "6", "--export-grid-path", "--out", str(tmp_path)]) == 2
     assert main(["couple", "--n", "6", "--grid-step-divisor", "10", "--out", str(tmp_path)]) == 2
     capsys.readouterr()
     assert main(["rate", "--n-grid", "4,8", "--reps", "2", "--workers", "0", "--out", str(tmp_path)]) == 2
@@ -223,9 +222,9 @@ def test_missing_out_dir_fails(tmp_path):
 
 
 def test_couple_grid_artifacts(tmp_path, capsys):
-    code = main(["couple", "--n", "6", "--seed", "2", "--export-grid-path",
-                 "--out", str(tmp_path)])
+    code = main(["couple", "--n", "6", "--seed", "2", "--out", str(tmp_path)])
     assert code == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["realization.csv"]
     lines = _read(tmp_path / "realization.csv").splitlines()
     header = lines.index("m,Gamma,Lambda,skeleton_value")
     rows = lines[header + 1:]
@@ -234,8 +233,6 @@ def test_couple_grid_artifacts(tmp_path, capsys):
     assert "sup=" in stdout and "steps=" in stdout
     steps = int(stdout.split("steps=")[1].split()[0])
     assert len(rows) == steps + 1
-    grid_lines = _read(tmp_path / "grid_path.csv").splitlines()
-    assert "t,w" in grid_lines
 
 
 def test_couple_exact_has_no_sup(tmp_path, capsys):
@@ -243,27 +240,31 @@ def test_couple_exact_has_no_sup(tmp_path, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     assert "sup=" not in stdout
-    assert not (tmp_path / "grid_path.csv").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["realization.csv"]
 
 
 def _printed(stdout):
     return dict(item.split("=", 1) for item in stdout.split()[1:])
 
 
-@pytest.mark.parametrize("law", ["uniform01", "two_point:0,1,0.5"])
-@pytest.mark.parametrize("n", [8, 32, 64])
-def test_streamed_exact_couple_writes_the_built_realization(tmp_path, capsys, monkeypatch, law, n):
+_STREAMED = [(engine, n, law) for engine in ("exact", "grid") for n in (8, 32, 64)
+             for law in ("uniform01", "two_point:0,1,0.5")]
+
+
+@pytest.mark.parametrize("engine, n, law", _STREAMED,
+                         ids=[("" if e == "exact" else "grid-") + f"{n}-{law}" for e, n, law in _STREAMED])
+def test_streamed_exact_couple_writes_the_built_realization(tmp_path, capsys, monkeypatch, engine, n, law):
     # The realization built with the default blocks, written whole ...
     jump_law = parse_law(law)
     real = build_coupled_realization(
-        jump_law, scaling_constants(jump_law, 2.0, n), derived_rng(9, ROLE_COUPLE, n, 0), engine="exact"
+        jump_law, scaling_constants(jump_law, 2.0, n), derived_rng(9, ROLE_COUPLE, n, 0), engine=engine
     )
     write_realization_csv(tmp_path / "built.csv", real, 9)
-    # ... is what the command streams in blocks of 64 steps: every
-    # realization spans several blocks, and the zero atom of two_point
-    # repeats knots and signs zeros
+    # ... is what the command streams: the exact engine in blocks of 64
+    # steps, so every realization spans several blocks, and the zero atom
+    # of two_point repeats knots and signs zeros; the grid engine as one block
     monkeypatch.setattr(renewalbm.coupling, "EXACT_BLOCK", 64)
-    argv = ["couple", "--engine", "exact", "--law", law, "--n", str(n), "--seed", "9"]
+    argv = ["couple", "--engine", engine, "--law", law, "--n", str(n), "--seed", "9"]
     assert main(argv + ["--out", str(tmp_path)]) == 0
     items = _printed(capsys.readouterr().out)
     assert (tmp_path / "realization.csv").read_bytes() == (tmp_path / "built.csv").read_bytes()
@@ -271,6 +272,10 @@ def test_streamed_exact_couple_writes_the_built_realization(tmp_path, capsys, mo
     diag = embedding_diagnostics(real)
     for key in ("mean_exit_time", "mean_duration", "second_moment_ratio"):
         assert float(items[key]) == pytest.approx(diag[key], rel=1e-5)
+    if engine == "grid":
+        assert float(items["sup"]) == pytest.approx(sup_distance(real, "grid"), rel=1e-5)
+    else:
+        assert "sup" not in items
 
 
 def _couple_peak(tmp_path, n):
@@ -347,9 +352,13 @@ def test_config_file_merge_and_override(tmp_path, capsys):
     cfg.write_text("n_grid = 4,x\n", encoding="utf-8")
     assert main(["trace", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "config key 'n_grid': must be comma-separated integers, got '4,x'" in capsys.readouterr().err
+    # couple has no grid-path export
+    out = tmp_path / "out"
+    out.mkdir()
     cfg.write_text("n = 6\nexport_grid_path = yes\n", encoding="utf-8")
-    assert main(["couple", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "grid_path.csv").exists()
+    assert main(["couple", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown config key 'export_grid_path' for couple" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_rate_artifacts_are_reproducible(tmp_path):
@@ -437,9 +446,8 @@ def test_write_summary_layout(tmp_path):
         (["simulate-path", "--n", "4"], "k = 3.0", ["--k", "2.5"], 3.0, 2.5),
         (["simulate-path", "--n", "4"], "law = exponential:1", ["--law", "uniform01"], "exponential:1", "uniform01"),
         (["trace"], "n_grid = 4,8", ["--n-grid", "16,32"], (4, 8), (16, 32)),
-        (["couple", "--n", "4"], "export_grid_path = no", ["--export-grid-path"], False, True),
     ],
-    ids=["int", "float", "str", "n_grid", "bool"],
+    ids=["int", "float", "str", "n_grid"],
 )
 def test_flags_override_config_values(tmp_path, command, line, flag, from_file, from_flag):
     key = line.split(" = ")[0]
@@ -454,7 +462,7 @@ def test_parsed_defaults():
     common = {"law": "uniform01", "k": 2.0, "seed": 0, "out": ".", "config": None}
     want = {
         "simulate-path": {"n": 4},
-        "couple": {"n": 4, "engine": "grid", "export_grid_path": False},
+        "couple": {"n": 4, "engine": "grid"},
         "rate": {"n_grid": (4,), "reps": 200, "alpha": None, "workers": 1},
         "gof": {"n": 4, "reps": 5000, "s": 0.5, "t": 1.0},
         "trace": {"n_grid": (4,), "reps": 100},

@@ -20,7 +20,6 @@ from renewalbm.csvio import (
     _shortest,
     _write_columns,
     format_value,
-    write_grid_csv,
     write_path_csv,
     write_rate_csv,
     write_realization_csv,
@@ -62,18 +61,6 @@ def test_realization_rows(tmp_path, row_block, engine):
     write_realization_csv(tmp_path / "r.csv", real, 3)
     want = zip(range(real.n_steps + 1), real.path_times, real.bm_times, real.skeleton)
     assert _table_lines(tmp_path / "r.csv") == _rows_formula(want)
-
-
-def test_grid_rows(tmp_path, row_block):
-    real = _realization("grid", 4)
-    if row_block is not None:
-        # Every block costs the same fixed overhead, so the one- and
-        # three-row blocks render a cut path: 457 rows, not a multiple of
-        # 3, so the last block is short.
-        real.grid.values = real.grid.values[:457]
-    write_grid_csv(tmp_path / "g.csv", real, 4)
-    t = np.arange(len(real.grid.values)) * real.grid.step
-    assert _table_lines(tmp_path / "g.csv") == _rows_formula(zip(t, real.grid.values))
 
 
 def test_path_rows(tmp_path, row_block):
@@ -194,9 +181,8 @@ def test_dense_floats_render_as_repr():
 _PINNED = [
     (["couple", "--engine", "exact", "--n", "64", "--seed", "11"], {
         "realization.csv": ("db35fcc5c8d8c65b016fb21d1132f1a055f2e438224565acf583411e9739a0bd", 521536)}),
-    (["couple", "--engine", "grid", "--n", "8", "--seed", "12", "--export-grid-path"], {
-        "realization.csv": ("57e1a3ef9d626e1f56b5457a5ab78a416d5f9f1ff6da8a81dbed0b87f220cd6a", 8604),
-        "grid_path.csv": ("6632ed5812d15542ca3ff717934f00195439ef75c6ac412d2db45fd073fb3edb", 4312129)}),
+    (["couple", "--engine", "grid", "--n", "8", "--seed", "12"], {
+        "realization.csv": ("57e1a3ef9d626e1f56b5457a5ab78a416d5f9f1ff6da8a81dbed0b87f220cd6a", 8604)}),
     (["simulate-path", "--n", "20", "--seed", "13"], {
         "transport_path.csv": ("161c60916645e3e169b9cdbb5c0891533de1bcc9dd0c8c886138018f95a83efe", 16402)}),
     (["rate", "--n-grid", "4,8", "--reps", "6", "--seed", "14"], {

@@ -1,5 +1,6 @@
-"""The entry rules of errors: each public entry that takes a count or a
-scale refuses a bad one with InputError naming the parameter."""
+"""The entry rules of errors: each public entry that takes a count, a scale,
+an evaluation time or a law parameter refuses a bad one with InputError
+naming it."""
 
 import math
 
@@ -10,7 +11,7 @@ from renewalbm.coupling import build_coupled_realization, sample_embedding_steps
 from renewalbm.errors import InputError
 from renewalbm.exit_times import grid_exit
 from renewalbm.experiments import covariance_check, ks_uniform, rate_scale
-from renewalbm.laws import uniform01
+from renewalbm.laws import JumpLaw, deterministic, exponential, two_point, uniform01
 from renewalbm.transport import scaling_constants
 
 _SCHED = scaling_constants(uniform01(), 2.0, 10)
@@ -32,7 +33,21 @@ _ENTRIES = {
     "rate_scale.k": (lambda v, rng: rate_scale(4, v), "k must be a finite real"),
     "s": (lambda v, rng: covariance_check(uniform01(), 2.0, 10, v, 1.0, 100, rng), "s must be a finite real"),
     "t": (lambda v, rng: covariance_check(uniform01(), 2.0, 10, 0.5, v, 100, rng), "t must be a finite real"),
+    # value_at on paths drawn from their own generator, not the one checked
+    "value_at": (lambda v, rng: build_coupled_realization(
+        uniform01(), _SCHED, np.random.default_rng(1), engine="exact").value_at(v),
+        "t must be a real or an array of reals"),
+    "TransportPath.value_at": (lambda v, rng: next(transport_paths(
+        uniform01(), _SCHED, 1.0, np.random.default_rng(1))).value_at(v),
+        "t must be a real or an array of reals"),
+    "exponential": (lambda v, rng: exponential(v), "exponential parameters must be reals"),
+    "deterministic": (lambda v, rng: deterministic(v), "deterministic parameters must be reals"),
+    "two_point": (lambda v, rng: two_point(0.0, v, 0.5), "two_point parameters must be reals"),
+    "JumpLaw": (lambda v, rng: JumpLaw("deterministic", (v,)), "deterministic parameters must be reals"),
 }
+
+# bool, str, a mixed list and a bool array: none is a real or an array of reals
+_NOT_REAL = (True, "0.5", [0.5, "1"], np.array([True, False]))
 
 
 @pytest.mark.parametrize(
@@ -47,7 +62,9 @@ _ENTRIES = {
     + [("rate_scale.n", v) for v in (2.5, True, "3", 1)]
     + [("rate_scale.k", v) for v in ("2", True, math.inf, math.nan)]
     + [("s", v) for v in (True, "0.5", math.nan)]
-    + [("t", v) for v in (True, "1", math.nan)],
+    + [("t", v) for v in (True, "1", math.nan)]
+    + [(name, v) for name in ("value_at", "TransportPath.value_at", "exponential", "deterministic",
+                              "two_point", "JumpLaw") for v in _NOT_REAL],
 )
 def test_entry_refuses_a_bad_count_or_scale(name, value):
     call, message = _ENTRIES[name]
