@@ -325,7 +325,7 @@ def _exact_steps(law, schedule, streams, size):
     return levels, signs, levels * levels * invert_unit_cdf(streams[1].random(size))
 
 
-# A TransportPath holds three arrays, and joining its parts holds two copies.
+# A TransportPath holds three arrays, and growing its draw holds two copies.
 _PATH_HELD = 6
 
 
@@ -336,12 +336,15 @@ def transport_paths(law, schedule, horizon, rng):
     Each path takes the steps that follow the last one's in the level and
     sign streams of one set of child streams of rng, so the first path holds
     the first steps of an exact realization from the same rng, with the
-    bits of its path_times, signs and skeleton. Steps are drawn
-    expected + 4 sqrt(expected) + 16 at a time (expected =
-    horizon / mean_step); steps drawn past a path's end start the next one,
-    so no bit depends on that size. The arrays a path would hold are
-    checked against errors.ALLOC_BUDGET_BYTES before each draw, the first
-    when this is called: BudgetError past it.
+    bits of its path_times, signs and skeleton. One draw of levels and
+    signs grows, expected + 4 sqrt(expected) + 16 steps at a time
+    (expected = horizon / mean_step), until its transport clock passes the
+    horizon; a path is its prefix up to the first clock time past the
+    horizon, with its clock and skeleton each one running sum from zero,
+    and the steps after it start the next path, so no bit depends on that
+    size. The arrays a path would hold are checked against
+    errors.ALLOC_BUDGET_BYTES before each batch is drawn, the first when
+    this is called: BudgetError past it.
     """
     horizon = check_real(horizon, "horizon")
     if horizon < 0.0:
@@ -353,26 +356,32 @@ def transport_paths(law, schedule, horizon, rng):
 
 
 def _paths(law, schedule, horizon, streams, size):
-    levels = signs = np.empty(0)  # steps drawn and not yet used
+    # Levels and signs drawn and not yet used; the signs start as int64, so a
+    # path's signs keep their dtype.
+    levels, signs = np.empty(0), np.empty(0, dtype=np.int64)
     while True:
-        parts, gamma, skel, steps = [], None, None, 0
-        while gamma is None or gamma <= horizon:
-            if not len(levels):
-                check_budget(_PATH_HELD * (steps + size + 1), "transport path arrays")
-                levels, signs = _levels_and_signs(law, schedule, streams, int(size))
-            # A prefix of a running sum has its bits, so each part is cut at
-            # the first clock time past the horizon.
-            clock = _running_sum(schedule.normalizer * levels, gamma)
-            keep = min(int(np.searchsorted(clock, horizon, side="right")) + 1, len(clock))
-            sums = _running_sum(signs[:keep] * levels[:keep], skel)
-            parts.append((signs[:keep], clock[:keep], sums))
-            gamma, skel, steps = clock[keep - 1], sums[-1], steps + keep
-            levels, signs = levels[keep:], signs[keep:]
-        signs_, clocks, skels = zip(*parts)
+        clock = _running_sum(schedule.normalizer * levels, None)
+        if not len(clock) or clock[-1] <= horizon:
+            check_budget(_PATH_HELD * (len(levels) + size + 1), "transport path arrays")
+            more_levels, more_signs = _levels_and_signs(law, schedule, streams, int(size))
+            levels, signs = np.concatenate([levels, more_levels]), np.concatenate([signs, more_signs])
+            continue
+        # A prefix of one running sum has its bits: the path ends at the
+        # first clock time past the horizon, and the steps after it start
+        # the next path.
+        keep = int(np.searchsorted(clock, horizon, side="right")) + 1
+        skeleton = _running_sum(signs[:keep] * levels[:keep], None)
         yield TransportPath(
-            law, schedule, np.concatenate(signs_),
-            np.concatenate([[0.0], *clocks]), np.concatenate([[0.0], *skels]), horizon,
+            law, schedule, signs[:keep], np.concatenate([[0.0], clock[:keep]]),
+            np.concatenate([[0.0], skeleton]), horizon,
         )
+        levels, signs = levels[keep:], signs[keep:]
+
+
+# sample_embedding_steps holds five arrays of its steps at once while it forms
+# the exit times: levels, signs, squared levels, the inverted exit uniforms and
+# the exit times.
+_EMBEDDING_HELD = 5
 
 
 def sample_embedding_steps(law, schedule, steps, rng):
@@ -381,9 +390,12 @@ def sample_embedding_steps(law, schedule, steps, rng):
     Returns (levels, signs, exit_times, durations): the first steps an exact
     realization from the same rng would take, drawn through the same
     streams, with durations = normalizer * levels; meant for marginal checks
-    that want many more steps than one covering realization holds.
+    that want many more steps than one covering realization holds. The
+    arrays it holds at once are checked against errors.ALLOC_BUDGET_BYTES
+    before the first draw: BudgetError past it, with rng untouched.
     """
     steps = check_int(steps, "steps", 1)
+    check_budget(_EMBEDDING_HELD * steps, "embedding step arrays")
     levels, signs, exit_times = _exact_steps(law, schedule, child_streams(rng), steps)
     return levels, signs, exit_times, schedule.normalizer * levels
 

@@ -8,7 +8,8 @@ schedule in scaling_constants, a count or scale at each public entry through
 check_int, check_real and check_positive, the one integer rule, the one real
 rule and the one positive-real rule of the package, so code downstream does
 not check them again. is_real is the type test of the real rule, which a
-JumpLaw's parameters pass too.
+JumpLaw's parameters pass too, and to_float its one float conversion, which
+reads an int past the float range as +/-inf, so the rule refuses it.
 """
 
 import math
@@ -76,18 +77,29 @@ def check_int(value, name: str, least: int) -> int:
     return int(value)
 
 
+def to_float(value) -> float:
+    """float(value), the package's one float conversion of a real: a value
+    past the float range, such as an int of 400 digits, reads as +/-inf
+    instead of raising OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def is_real(value) -> bool:
     """True when value is a real number (numpy's too) and not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def check_real(value, name: str, least: float = -math.inf) -> float:
-    """value as a float, once it is known to be a finite real (is_real)
-    above least, -inf or 0; InputError naming it otherwise."""
-    if not is_real(value) or not least < value < math.inf:
+    """value as a float (to_float), once it is known to be a finite real
+    (is_real) above least, -inf or 0; InputError naming it otherwise."""
+    x = to_float(value) if is_real(value) else math.nan
+    if not least < x < math.inf:
         rule = "a finite real" if least == -math.inf else "positive and finite"
         raise InputError(f"{name} must be {rule}, got {value!r}")
-    return float(value)
+    return x
 
 
 def check_positive(value, name: str) -> float:

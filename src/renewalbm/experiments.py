@@ -30,7 +30,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .coupling import build_coupled_realization, decompose_sup, transport_paths
-from .errors import BudgetError, InputError, check_int, check_positive, check_real
+from .errors import BudgetError, InputError, check_int, check_positive, check_real, to_float
 from .laws import JumpLaw
 from .streams import ROLE_RATE, ROLE_TRACE, derived_rng
 from .transport import ScalingSchedule, scaling_constants
@@ -38,9 +38,11 @@ from .transport import ScalingSchedule, scaling_constants
 
 def rate_scale(n: int, k: float) -> float:
     """Deviation scale n**(-k/4) * log(n)**1.5 (natural log), for an integer
-    n >= 2 and a finite real k."""
+    n >= 2 and a finite real k. An n past the float range reads as inf
+    (errors.to_float), so the scale underflows to 0.0 for k > 0, as it
+    does for any large n."""
     n, k = check_int(n, "n", 2), check_real(k, "k")
-    return float(n) ** (-k / 4.0) * math.log(n) ** 1.5
+    return to_float(n) ** (-k / 4.0) * math.log(n) ** 1.5
 
 
 def _check_ladder(law: JumpLaw, k: float, n_grid) -> tuple[int, ...]:
@@ -111,10 +113,6 @@ class RateResult:
     max_bound_gap: float
     max_skeleton_err: float
     max_slope_err: float
-
-    def threshold(self, n: int) -> float:
-        """Exceedance threshold alpha * rate_scale(n)."""
-        return self.alpha * rate_scale(n, self.config.k)
 
 
 def skeleton_identity_error(real) -> float:
@@ -265,17 +263,16 @@ def fit_rate(points) -> tuple[float, float, float]:
 class GofResult:
     """Outcome of one goodness-of-fit check.
 
-    For the Kolmogorov-Smirnov targets the statistic is the KS distance; for
-    the covariance target it is the covariance estimate itself.
+    For the Kolmogorov-Smirnov checks the statistic is the KS distance; for
+    covariance_check it is the covariance estimate itself.
     """
 
     statistic: float
     p_value: float
     sample_size: int
-    target: str
 
 
-def _ks_one_sample(samples, cdf, target: str) -> GofResult:
+def _ks_one_sample(samples, cdf) -> GofResult:
     """One-sample KS of samples against the law whose CDF maps sorted values
     to probabilities, with the asymptotic Kolmogorov p-value."""
     from scipy import special
@@ -287,20 +284,20 @@ def _ks_one_sample(samples, cdf, target: str) -> GofResult:
     i = np.arange(1, x.size + 1)
     d = max(float((i / x.size - cdf_values).max()), float((cdf_values - (i - 1) / x.size).max()))
     p = float(special.kolmogorov(math.sqrt(x.size) * d))
-    return GofResult(statistic=d, p_value=p, sample_size=int(x.size), target=target)
+    return GofResult(statistic=d, p_value=p, sample_size=int(x.size))
 
 
 def ks_normal(samples) -> GofResult:
     """One-sample KS against the standard normal, asymptotic p-value."""
     from scipy import special
 
-    return _ks_one_sample(samples, special.ndtr, "standard normal")
+    return _ks_one_sample(samples, special.ndtr)
 
 
 def ks_uniform(samples, high: float) -> GofResult:
     """One-sample KS against the uniform law on (0, high)."""
     high = check_positive(high, "high")
-    return _ks_one_sample(samples, lambda x: np.clip(x / high, 0.0, 1.0), f"uniform(0,{high!r})")
+    return _ks_one_sample(samples, lambda x: np.clip(x / high, 0.0, 1.0))
 
 
 def ks_two_sample(a, b) -> GofResult:
@@ -317,7 +314,7 @@ def ks_two_sample(a, b) -> GofResult:
     d = float(np.abs(fa - fb).max())
     en = math.sqrt(xa.size * xb.size / (xa.size + xb.size))
     p = float(special.kolmogorov(en * d))
-    return GofResult(statistic=d, p_value=p, sample_size=int(xa.size + xb.size), target="two-sample")
+    return GofResult(statistic=d, p_value=p, sample_size=int(xa.size + xb.size))
 
 
 def _path_values(law, schedule, times, reps, rng) -> np.ndarray:
@@ -353,9 +350,7 @@ def covariance_check(law: JumpLaw, k: float, n: int, s: float, t: float, reps: i
         p = 1.0 if estimate == s else 0.0
     else:
         p = float(2.0 * special.ndtr(-abs(estimate - s) / spread))
-    return GofResult(
-        statistic=estimate, p_value=p, sample_size=int(reps), target=f"covariance min({s!r},{t!r})"
-    )
+    return GofResult(statistic=estimate, p_value=p, sample_size=int(reps))
 
 
 @dataclass(frozen=True, eq=False)

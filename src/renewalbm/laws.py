@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, is_real
+from .errors import InputError, is_real, to_float
 
 KINDS = ("uniform01", "exponential", "deterministic", "two_point")
 
@@ -28,19 +28,25 @@ class JumpLaw:
             exponential -> (rate,), deterministic -> (c,),
             two_point -> (a, b, p) taking value a with probability p.
 
-    Raises InputError unless every parameter is a real number (numpy's too)
-    and not a bool, and then, naming the law and every violated rule, unless
-    the parameters fit the kind, are finite, and give finite, positive m1, m2
-    and m4. The parameters are held as floats.
+    Raises InputError unless params is a sequence whose every entry is a
+    real number (numpy's too) and not a bool, and then, naming the law and
+    every violated rule, unless the parameters fit the kind, are finite, and
+    give finite, positive m1, m2 and m4. The parameters are held as floats
+    (errors.to_float), so an int past the float range is a nonfinite
+    parameter.
     """
 
     kind: str
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not all(map(is_real, self.params)):
+        try:
+            params = tuple(self.params)
+        except TypeError:
+            raise InputError(f"{self.kind} parameters must be a sequence of reals, got {self.params!r}") from None
+        if not all(map(is_real, params)):
             raise InputError(f"{self.kind} parameters must be reals, got {self.params!r}")
-        object.__setattr__(self, "params", tuple(map(float, self.params)))
+        object.__setattr__(self, "params", tuple(map(to_float, params)))
         bad = _violations(self)
         if bad:
             raise InputError(f"invalid jump law {law_label(self)}: " + "; ".join(bad))

@@ -14,13 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, check_int, check_real
+from .errors import InputError, check_int, check_real, to_float
 from .laws import JumpLaw, moments
 
 
 @dataclass(frozen=True)
 class ScalingSchedule:
     """Scale-n constants derived from a jump law.
+
+    Every other field depends on (n, k) only through time_scale, so k only
+    relabels N = n**k: two (n, k) whose time_scale doubles are equal build
+    the same steps, clocks and walk from one generator. k still sets how
+    fast N grows along n = 1, 2, 3, ..., which the almost-sure claim is
+    about.
 
     time_scale:  n**-k, the clock compression at scale n. Summability of the
                  schedule over n is what drives almost-sure convergence, hence
@@ -43,15 +49,17 @@ def scaling_constants(law: JumpLaw, k: float, n: int) -> ScalingSchedule:
 
     Raises InputError unless k passes errors.check_real and exceeds 1, n
     passes errors.check_int at least 1, and mean_step and normalizer are at
-    least the smallest normal float, so 1 / mean_step is finite. Both are
-    finite, since the law's moments are: it was checked when it was built.
+    least the smallest normal float, so 1 / mean_step is finite; an n past
+    the float range reads as inf (errors.to_float), so its mean_step is 0.
+    Both are finite, since the law's moments are: it was checked when it
+    was built.
     """
     k = check_real(k, "k")
     if not k > 1.0:
         raise InputError("k must exceed 1")
     n = check_int(n, "n", 1)
     m1, m2, _ = moments(law)
-    time_scale = float(n) ** -k
+    time_scale = to_float(n) ** -k
     normalizer = math.sqrt(time_scale * m2 / m1)
     mean_step = time_scale * m1
     tiny = float(np.finfo(float).tiny)

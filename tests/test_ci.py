@@ -1,5 +1,7 @@
-"""The CI workflow stays in step with the tier-1 command and the CLI."""
+"""The CI workflow stays in step with the tier-1 command, the CLI and the
+benchmark."""
 
+import json
 import re
 from pathlib import Path
 
@@ -40,3 +42,12 @@ def test_smoke_lines_pass_only_declared_flags():
         declared = commands[command][0]._option_string_actions
         for flag in re.findall(r"(?<!\S)--[\w-]+", rest):
             assert flag in declared, (command, flag)
+
+
+def test_benchmark_smoke_runs_every_declared_workload():
+    # A workload added to BENCHMARK.json but not to the loop would otherwise
+    # never be smoked.
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
+    loop = re.search(r"^\s*for w in ([^;]+); do$", _steps()["Benchmark smoke"], re.M)
+    assert loop is not None
+    assert loop.group(1).split() == [w["name"] for w in declared]

@@ -79,6 +79,9 @@ def test_usage_exit_codes(tmp_path, capsys):
         (["simulate-path", "--n", "10", "--law", "two_point:1e308,1e308,0.5"], "invalid jump law two_point"),
         (["couple", "--engine", "exact", "--k", "1100", "--n", "2"], "scale n=2 with k=1100.0"),
         (["rate", "--k", "1100", "--n-grid", "2,3", "--reps", "2"], "scale n=2 with k=1100.0"),
+        # an n past the float range reads as inf, so its mean_step is 0
+        (["couple", "--engine", "exact", "--n", str(10**400)], "scale n=1000"),
+        (["rate", "--n-grid", f"2,{10**400}", "--reps", "2"], "scale n=1000"),
     ):
         assert main(argv + ["--out", str(tmp_path)]) == 2, argv
         assert named in capsys.readouterr().err, argv

@@ -34,7 +34,7 @@ from renewalbm.coupling import (
 from renewalbm.errors import BudgetError, InputError
 from renewalbm.experiments import ks_uniform, skeleton_identity_error
 from renewalbm.laws import deterministic, parse_law, two_point, uniform01
-from renewalbm.streams import ROLE_COUPLE, ROLE_RATE, derived_rng
+from renewalbm.streams import ROLE_COUPLE, ROLE_RATE, child_streams, derived_rng
 from renewalbm.transport import scaling_constants
 
 LAW = uniform01()
@@ -526,6 +526,62 @@ def test_transport_paths_follow_one_another_in_the_streams(law):
         assert path.skeleton[1:].tobytes() == np.cumsum(signs[steps] * levels[steps]).tobytes()
         start += m
     assert start > 2000
+
+
+@pytest.mark.parametrize("law", [uniform01(), two_point(0.0, 1.0, 0.5)], ids=["uniform01", "two_point"])
+def test_transport_paths_do_not_depend_on_the_draw_size(law):
+    # the held draw grows 1 or 7 steps at a time instead of about 72, and
+    # the first 30 paths keep every bit, dtype and shape
+    sched = scaling_constants(law, 2.0, 4)
+    paths = [transport_paths(law, sched, 1.0, np.random.default_rng(6))]
+    paths += [renewalbm.coupling._paths(law, sched, 1.0, child_streams(np.random.default_rng(6)), size)
+              for size in (1, 7)]
+    for _ in range(30):
+        drawn = [next(p) for p in paths]
+        for name in ("signs", "path_times", "skeleton"):
+            assert len({_bits(getattr(path, name)) for path in drawn}) == 1, name
+
+
+def _bits(a):
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize(
+    "group", [((4, 2), (2, 4)), ((8, 2), (2, 6)), ((16, 2), (4, 4), (2, 8))], ids=["N=16", "N=64", "N=256"],
+)
+def test_k_only_relabels_n_to_the_k(group):
+    # every schedule field but the labels depends on (n, k) only through
+    # time_scale = n**-k, so equal time_scale doubles give the same steps
+    # from one seed: exact, grid (walk included) and the first transport path
+    scheds = [scaling_constants(LAW, float(k), n) for n, k in group]
+    assert len({(s.time_scale, s.normalizer, s.mean_step) for s in scheds}) == 1
+    step_names = [f.name for f in fields(StepBlock)[1:]]
+
+    def bits(sched):
+        exact = build_coupled_realization(LAW, sched, np.random.default_rng(11), engine="exact")
+        grid = build_coupled_realization(LAW, sched, np.random.default_rng(11))
+        path = next(transport_paths(LAW, sched, 1.0, np.random.default_rng(11)))
+        arrays = [getattr(real, name) for real in (exact, grid) for name in step_names]
+        arrays += [grid.grid.values, grid.bm_index, path.signs, path.path_times, path.skeleton]
+        return [_bits(a) for a in arrays]
+
+    want = bits(scheds[0])
+    for sched in scheds[1:]:
+        assert bits(sched) == want, (sched.n, sched.k)
+
+
+def test_embedding_steps_are_checked_against_the_byte_budget(monkeypatch):
+    # five arrays of the steps at once: 1000 steps fit in 8 * 5 * 1000
+    # bytes and 1001 do not, refused before the first draw
+    sizes = _counted_exact_steps(monkeypatch)
+    monkeypatch.setattr(renewalbm.errors, "ALLOC_BUDGET_BYTES", 8 * 5 * 1000)
+    rng = np.random.default_rng(1)
+    with pytest.raises(BudgetError, match="embedding step arrays of 5,005 points"):
+        sample_embedding_steps(LAW, SCHED10, 1001, rng)
+    assert sizes == []
+    assert rng.random() == np.random.default_rng(1).random()
+    assert len(sample_embedding_steps(LAW, SCHED10, 1000, np.random.default_rng(1))[0]) == 1000
+    assert sizes == [1000]
 
 
 def test_exact_step_budget_refuses_before_the_first_draw(monkeypatch):
